@@ -10,6 +10,7 @@ from .audit import (
     WarningKind,
     complete_detection,
     detection,
+    probe_redundancy,
     rewrite,
     test_redundancy,
 )
@@ -45,6 +46,7 @@ from .oracle import (
 )
 from .rulefile import (
     ReportDocument,
+    apply_domain_overrides,
     emit_report,
     input_digest,
     parse_ruleset,

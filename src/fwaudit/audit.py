@@ -51,7 +51,7 @@ class AuditReport:
     """Outcome of one audit run.
 
     ``transformed`` holds the surviving rules (emptied rules removed);
-    ``warnings`` lists every rule that was flagged, sorted by original
+    ``warnings`` lists every rule that was labelled, sorted by original
     position, and records which audit produced them via ``algorithm``.
     """
 
@@ -61,14 +61,12 @@ class AuditReport:
     stats: AuditStats
 
 
-def _assemble(algorithm: str, original: Ruleset, rules: list[Rule], t0: float) -> AuditReport:
-    warnings = []
-    for r in rules:
-        if r.shadowing:
-            warnings.append(RuleWarning(r.position, WarningKind.SHADOWING))
-        if r.redundancy:
-            warnings.append(RuleWarning(r.position, WarningKind.REDUNDANCY))
-    warnings.sort(key=lambda w: w.position)
+def _assemble(
+    algorithm: str, original: Ruleset, rules: list[Rule], kinds: list[WarningKind | None], t0: float
+) -> AuditReport:
+    # rules stay in position order and each carries at most one kind, so
+    # the warnings come out sorted by position
+    warnings = tuple(RuleWarning(r.position, k) for r, k in zip(rules, kinds) if k is not None)
     transformed = Ruleset(original.domain, tuple(r for r in rules if not r.is_empty))
     stats = AuditStats(
         input_rules=len(original.rules),
@@ -76,7 +74,7 @@ def _assemble(algorithm: str, original: Ruleset, rules: list[Rule], t0: float) -
         output_boxes=transformed.total_boxes(),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    return AuditReport(algorithm, transformed, tuple(warnings), stats)
+    return AuditReport(algorithm, transformed, warnings, stats)
 
 
 def _hulls(rules: list[Rule]) -> list[Box | None]:
@@ -89,6 +87,29 @@ def _hulls_touch(a: Box | None, b: Box | None) -> bool:
     return a is not None and b is not None and box_intersects(a, b)
 
 
+def _exclude_forward(
+    rules: list[Rule],
+    hulls: list[Box | None],
+    kinds: list[WarningKind | None],
+    i: int,
+    same_decision: bool | None,
+) -> None:
+    """Exclude rule i from later rules: all (None), same-decision (True) or differing (False).
+
+    Every empty, unlabelled later rule is labelled shadowing, so empty
+    input rules are reported too.
+    """
+    ri, hull = rules[i], hulls[i]
+    for j in range(i + 1, len(rules)):
+        rj = rules[j]
+        picked = same_decision is None or (ri.decision == rj.decision) == same_decision
+        if picked and _hulls_touch(hull, hulls[j]):
+            rj = rules[j] = exclusion(rj, ri)
+            hulls[j] = bounding_box(rj.condition)
+        if kinds[j] is None and rj.is_empty:
+            kinds[j] = WarningKind.SHADOWING
+
+
 def detection(ruleset: Ruleset) -> AuditReport:
     """Exclude every earlier rule from every later one.
 
@@ -99,14 +120,10 @@ def detection(ruleset: Ruleset) -> AuditReport:
     t0 = time.perf_counter()
     rules = list(ruleset.rules)
     hulls = _hulls(rules)
+    kinds: list[WarningKind | None] = [None] * len(rules)
     for i in range(len(rules) - 1):
-        for j in range(i + 1, len(rules)):
-            if _hulls_touch(hulls[i], hulls[j]):
-                rules[j] = exclusion(rules[j], rules[i])
-                hulls[j] = bounding_box(rules[j].condition)
-            if rules[j].is_empty and not rules[j].shadowing:
-                rules[j] = replace(rules[j], shadowing=True)
-    return _assemble("detection", ruleset, rules, t0)
+        _exclude_forward(rules, hulls, kinds, i, None)
+    return _assemble("detection", ruleset, rules, kinds, t0)
 
 
 def _absorbed_by_later(rules: list[Rule], hulls: list[Box | None], i: int) -> bool:
@@ -123,7 +140,7 @@ def _absorbed_by_later(rules: list[Rule], hulls: list[Box | None], i: int) -> bo
     return False
 
 
-def test_redundancy(ruleset: Ruleset, i: int) -> bool:
+def probe_redundancy(ruleset: Ruleset, i: int) -> bool:
     """Probe rule i (1-based) for absorption by later same-decision rules.
 
     Works on a copy; the ruleset is never modified.
@@ -134,45 +151,44 @@ def test_redundancy(ruleset: Ruleset, i: int) -> bool:
     return _absorbed_by_later(rules, _hulls(rules), i - 1)
 
 
+# deprecated alias, kept for one release: pytest collects names starting test_
+test_redundancy = probe_redundancy
+
+
 def complete_detection(ruleset: Ruleset) -> AuditReport:
     """Two-phase audit that separates shadowing from redundancy.
 
     Phase 1 excludes each rule from every later rule with a different
-    decision, flagging emptied rules as shadowing.  Phase 2 walks the
+    decision, labelling emptied rules as shadowing.  Phase 2 walks the
     survivors in order: a rule absorbed by later same-decision rules is
-    emptied and flagged redundant; otherwise it is excluded from later
-    same-decision rules, flagging any newly emptied ones as shadowing.
+    emptied and labelled redundant; otherwise it is excluded from later
+    same-decision rules, labelling any newly emptied ones as shadowing.
     """
     t0 = time.perf_counter()
     rules = list(ruleset.rules)
     hulls = _hulls(rules)
+    kinds: list[WarningKind | None] = [None] * len(rules)
     n = len(rules)
 
     for i in range(n - 1):
-        for j in range(i + 1, n):
-            if rules[i].decision != rules[j].decision and _hulls_touch(hulls[i], hulls[j]):
-                rules[j] = exclusion(rules[j], rules[i])
-                hulls[j] = bounding_box(rules[j].condition)
-            if rules[j].is_empty and not rules[j].shadowing:
-                rules[j] = replace(rules[j], shadowing=True)
+        _exclude_forward(rules, hulls, kinds, i, False)
 
     for i in range(n - 1):
         if rules[i].is_empty:
-            # Already settled (and flagged) by an earlier step: excluding
+            # Already settled (and labelled) by an earlier step: excluding
             # against it is the identity, and probing it for redundancy
             # would only relabel a rule that is not really there anymore.
             continue
         if _absorbed_by_later(rules, hulls, i):
-            rules[i] = replace(rules[i], condition=(), redundancy=True)
+            rules[i] = replace(rules[i], condition=())
             hulls[i] = None
+            kinds[i] = WarningKind.REDUNDANCY
         else:
-            for j in range(i + 1, n):
-                if rules[i].decision == rules[j].decision and _hulls_touch(hulls[i], hulls[j]):
-                    rules[j] = exclusion(rules[j], rules[i])
-                    hulls[j] = bounding_box(rules[j].condition)
-                if not rules[j].redundancy and rules[j].is_empty and not rules[j].shadowing:
-                    rules[j] = replace(rules[j], shadowing=True)
-    return _assemble("complete", ruleset, rules, t0)
+            _exclude_forward(rules, hulls, kinds, i, True)
+    return _assemble("complete", ruleset, rules, kinds, t0)
+
+
+ALGORITHMS = {"detection": detection, "complete": complete_detection}
 
 
 def rewrite(ruleset: Ruleset, mode: RewriteMode) -> Ruleset:

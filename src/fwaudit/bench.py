@@ -13,31 +13,18 @@ import csv
 import io
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 
-from .audit import WarningKind, complete_detection, detection
+from .audit import ALGORITHMS, WarningKind
 from .intervals import DomainSpec
 from .rules import Ruleset
-from .synth import GeneratorProfile, generate, profile, reseeded, worst_case_family
-
-ALGORITHMS = {"detection": detection, "complete": complete_detection}
-
-CSV_COLUMNS = (
-    "algorithm",
-    "profile",
-    "n",
-    "p",
-    "seed",
-    "elapsed_ms",
-    "out_rules",
-    "out_boxes",
-    "shadowing_warnings",
-    "redundancy_warnings",
-)
+from .synth import GeneratorProfile, generate, profile, worst_case_family
 
 
 @dataclass(frozen=True, slots=True)
 class BenchRecord:
+    """One CSV row; the field order is the documented column order."""
+
     algorithm: str
     profile: str
     n: int
@@ -48,6 +35,9 @@ class BenchRecord:
     out_boxes: int
     shadowing_warnings: int
     redundancy_warnings: int
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def _run_cell(algorithm: str, profile_name: str, ruleset: Ruleset, seed: int) -> BenchRecord:
@@ -90,17 +80,17 @@ def bench(
         for prof in profs:
             for n in sizes:
                 for seed in range(seeds):
-                    ruleset = generate(reseeded(prof, seed), n, domain)
+                    ruleset = generate(replace(prof, seed=seed), n, domain)
                     records.append(_run_cell(algorithm, prof.name, ruleset, seed))
     return records
 
 
-def bench_worst_case(cases: Sequence[tuple[int, int]], algorithm: str = "detection") -> list[BenchRecord]:
-    """Audit the corner-anchored worst-case family for each (n, p) case."""
+def bench_worst_case(cases: Sequence[tuple[int, int]]) -> list[BenchRecord]:
+    """Audit the corner-anchored worst-case family for each (n, p) case with ``detection``."""
     records = []
     for n, p in cases:
         ruleset = worst_case_family(n, p)
-        records.append(_run_cell(algorithm, "worstcase", ruleset, 0))
+        records.append(_run_cell("detection", "worstcase", ruleset, 0))
     return records
 
 
@@ -109,5 +99,5 @@ def records_to_csv(records: Iterable[BenchRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow([getattr(r, col) for col in CSV_COLUMNS])
+        writer.writerow(astuple(r))
     return buf.getvalue()

@@ -13,12 +13,13 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .audit import RewriteMode, complete_detection, detection, rewrite
+from .audit import ALGORITHMS, RewriteMode, complete_detection, detection, rewrite
 from .bench import bench, bench_worst_case, records_to_csv
-from .errors import DomainTooLargeError, FwAuditError
+from .errors import DomainError, FwAuditError, ValidationError
 from .intervals import DomainSpec
 from .oracle import equivalent, sample_equivalent
 from .rulefile import (
+    apply_domain_overrides,
     emit_report,
     input_digest,
     parse_domain_overrides,
@@ -39,14 +40,20 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _five_tuple_with(domain_flag: str | None) -> DomainSpec:
+    overrides = parse_domain_overrides(domain_flag or "")
+    return apply_domain_overrides(DomainSpec.five_tuple(), overrides)
+
+
 def _load_ruleset(path: str, domain_flag: str | None):
-    overrides = parse_domain_overrides(domain_flag) if domain_flag else None
     text = _read(path)
-    return parse_ruleset(text, domain_overrides=overrides), text
+    return parse_ruleset(text, domain_overrides=parse_domain_overrides(domain_flag or "")), text
 
 
 def _cmd_audit(args) -> int:
     ruleset, text = _load_ruleset(args.input, args.domain)
+    # by module-level name, not through ALGORITHMS, so that
+    # perfbench/tracing.py can wrap the audits here
     run = detection if args.algorithm == "detection" else complete_detection
     report = run(ruleset)
     _write(args.output, emit_report(report, args.format, digest=input_digest(text)))
@@ -65,8 +72,7 @@ def _cmd_check(args) -> int:
     original, _ = _load_ruleset(args.original, args.domain)
     transformed, _ = _load_ruleset(args.transformed, args.domain)
     if original.domain != transformed.domain:
-        print("error: the two rule files declare different domains", file=sys.stderr)
-        return 2
+        raise DomainError("the two rule files declare different domains")
     if args.samples is not None:
         result = sample_equivalent(original, transformed, args.samples, args.seed)
         how = f"{args.samples} samples (seed {args.seed})"
@@ -84,15 +90,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    domain = DomainSpec.five_tuple()
-    if args.domain:
-        overrides = parse_domain_overrides(args.domain)
-        domain = DomainSpec.of(
-            *(
-                (a.name, *overrides.get(a.name, (a.lo, a.hi)))
-                for a in domain.attributes
-            )
-        )
+    domain = _five_tuple_with(args.domain)
     ruleset = generate(profile(args.profile, seed=args.seed), args.count, domain)
     _write(args.output, serialize_ruleset(ruleset))
     return 0
@@ -100,22 +98,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = json.loads(_read(args.config))
-    domain = None
-    if cfg.get("domain"):
-        overrides = parse_domain_overrides(cfg["domain"])
-        base = DomainSpec.five_tuple()
-        domain = DomainSpec.of(
-            *((a.name, *overrides.get(a.name, (a.lo, a.hi))) for a in base.attributes)
-        )
+    if not isinstance(cfg, dict):
+        raise ValidationError("a bench config must be a JSON object")
     records = bench(
-        algorithms=cfg.get("algorithms", ["detection", "complete"]),
+        algorithms=cfg.get("algorithms", list(ALGORITHMS)),
         profiles=cfg.get("profiles", list(PROFILE_NAMES)),
         sizes=cfg.get("sizes", [50, 100]),
         seeds=int(cfg.get("seeds", 5)),
-        domain=domain,
+        domain=_five_tuple_with(cfg.get("domain")),
     )
-    for case in cfg.get("worst_case", []):
-        records.extend(bench_worst_case([tuple(case)]))
+    records.extend(bench_worst_case(cfg.get("worst_case", [])))
     _write(cfg.get("output", args.output), records_to_csv(records))
     return 0
 
@@ -130,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="report shadowing/redundancy and the disjoint rewrite")
     p.add_argument("input", help="rule file ('-' for stdin)")
-    p.add_argument("--algorithm", choices=["detection", "complete"], default="complete")
+    p.add_argument("--algorithm", choices=list(ALGORITHMS), default="complete")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", default="-")
     p.add_argument("--domain", help="override attribute bounds: name=[lo,hi],...")
@@ -179,13 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code) if e.code else 0
     try:
         return args.func(args)
-    except DomainTooLargeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FwAuditError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as e:
+    except (FwAuditError, OSError, ValueError) as e:
+        # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

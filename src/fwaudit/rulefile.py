@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .audit import AuditReport, AuditStats, RuleWarning, WarningKind
@@ -98,48 +98,50 @@ def _checked(a: int, b: int, attr: AttributeDomain, line: int) -> Interval:
     return Interval(a, b)
 
 
-def _parse_domain_header(body: str, line: int) -> DomainSpec:
-    attrs = []
-    for part in _rejoin_ranges([p.strip() for p in body.split(",")], line):
+def _parse_bounds(text: str, line: int | None) -> dict[str, tuple[int, int]]:
+    """Parse 'name=[lo,hi], ...'; ``line`` is the rule-file line, if any."""
+    where = "" if line is None else f"line {line}: "
+    bounds: dict[str, tuple[int, int]] = {}
+    for part in _rejoin_ranges([p.strip() for p in text.split(",")], line):
         if not part:
             continue
         name, eq, rng = part.partition("=")
+        name = name.strip()
         m = _RANGE_RE.match(rng.strip())
         if not eq or not m:
-            raise ParseError(f"bad domain attribute {part!r} (want name=[lo,hi])", line)
+            raise ParseError(f"bad domain bounds {part!r} (want name=[lo,hi])", line)
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
-            raise ValidationError(f"line {line}: inverted domain bounds for {name.strip()}")
-        attrs.append((name.strip(), lo, hi))
-    if not attrs:
+            raise ValidationError(f"{where}inverted domain bounds for {name}")
+        if name in bounds:
+            raise ValidationError(f"{where}duplicate domain attribute {name!r}")
+        bounds[name] = (lo, hi)
+    return bounds
+
+
+def _parse_domain_header(body: str, line: int) -> DomainSpec:
+    bounds = _parse_bounds(body, line)
+    if not bounds:
         raise ParseError("@domain header declares no attributes", line)
-    return DomainSpec.of(*attrs)
+    return DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
 
 
 def parse_domain_overrides(text: str) -> dict[str, tuple[int, int]]:
     """Parse a 'name=[lo,hi],name=[lo,hi]' bounds-override string (CLI --domain)."""
-    overrides = {}
-    for part in _rejoin_ranges([p.strip() for p in text.split(",")], None):
-        if not part:
-            continue
-        name, eq, rng = part.partition("=")
-        m = _RANGE_RE.match(rng.strip())
-        if not eq or not m:
-            raise ParseError(f"bad domain override {part!r} (want name=[lo,hi])")
-        overrides[name.strip()] = (int(m.group(1)), int(m.group(2)))
-    return overrides
+    return _parse_bounds(text, None)
 
 
-def _apply_overrides(domain: DomainSpec, overrides: dict[str, tuple[int, int]]) -> DomainSpec:
-    names = set(domain.names)
+def apply_domain_overrides(
+    domain: DomainSpec, overrides: dict[str, tuple[int, int]] | None
+) -> DomainSpec:
+    """Replace the bounds of the named attributes; the attribute layout stays."""
+    if not overrides:
+        return domain
     for name in overrides:
-        if name not in names:
-            raise DomainError(f"--domain names unknown attribute {name!r}; file has {list(names)}")
+        if name not in domain.names:
+            raise DomainError(f"unknown attribute {name!r}; the domain has {list(domain.names)}")
     return DomainSpec.of(
-        *(
-            (a.name, *overrides.get(a.name, (a.lo, a.hi)))
-            for a in domain.attributes
-        )
+        *((a.name, *overrides.get(a.name, (a.lo, a.hi))) for a in domain.attributes)
     )
 
 
@@ -163,14 +165,11 @@ def parse_ruleset(
                 raise ParseError("@domain header must precede all rules", lineno)
             if domain is not None:
                 raise ParseError("duplicate @domain header", lineno)
-            domain = _parse_domain_header(line[len("@domain") :], lineno)
-            if domain_overrides:
-                domain = _apply_overrides(domain, domain_overrides)
+            header = _parse_domain_header(line[len("@domain") :], lineno)
+            domain = apply_domain_overrides(header, domain_overrides)
             continue
         if domain is None:
-            domain = DomainSpec.five_tuple()
-            if domain_overrides:
-                domain = _apply_overrides(domain, domain_overrides)
+            domain = apply_domain_overrides(DomainSpec.five_tuple(), domain_overrides)
         fields = [f.strip() for f in line.split(",")]
         # bracketed ranges contain commas; re-join split range halves
         fields = _rejoin_ranges(fields, lineno)
@@ -199,9 +198,7 @@ def parse_ruleset(
         records.append((major, minor, box, decision, lineno))
 
     if domain is None:
-        domain = DomainSpec.five_tuple()
-        if domain_overrides:
-            domain = _apply_overrides(domain, domain_overrides)
+        domain = apply_domain_overrides(DomainSpec.five_tuple(), domain_overrides)
 
     rules: list[Rule] = []
     last_key: tuple[int, int] | None = None
@@ -268,6 +265,20 @@ def serialize_ruleset(ruleset: Ruleset) -> str:
     return "\n".join(lines) + "\n"
 
 
+REPORT_SCHEMA_VERSION = 1
+
+
+def _typed(value, *kinds):
+    """Return value if it has one of the JSON types kinds; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{value!r} is not {' or '.join(k.__name__ for k in kinds)}")
+    return value
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(_typed(v, int) for v in values)
+
+
 @dataclass(frozen=True, slots=True)
 class ReportDocument:
     """Machine-readable audit report: the AuditReport plus provenance."""
@@ -292,39 +303,71 @@ class ReportDocument:
             stats=report.stats,
         )
 
-
-REPORT_SCHEMA_VERSION = 1
-
-
-def emit_report(report: AuditReport, format: str = "text", *, digest: str | None = None) -> str:
-    """Render an audit report as schema-versioned JSON or as readable text."""
-    if format == "json":
+    def to_json(self) -> str:
+        """The schema-versioned JSON form; ``from_json`` reads it back."""
         doc = {
             "version": REPORT_SCHEMA_VERSION,
-            "tool_version": __version__,
-            "algorithm": report.algorithm,
-            "input_digest": digest,
-            "domain": [
-                {"name": a.name, "lo": a.lo, "hi": a.hi}
-                for a in report.transformed.domain.attributes
-            ],
-            "warnings": [{"rule": w.position, "kind": w.kind.value} for w in report.warnings],
+            "tool_version": self.tool_version,
+            "algorithm": self.algorithm,
+            "input_digest": self.input_digest,
+            "domain": [{"name": a.name, "lo": a.lo, "hi": a.hi} for a in self.domain.attributes],
+            "warnings": [{"rule": w.position, "kind": w.kind.value} for w in self.warnings],
             "rules": [
                 {
                     "order": r.position,
                     "decision": r.decision.value,
                     "condition": [[[iv.lo, iv.hi] for iv in box.intervals] for box in r.condition],
                 }
-                for r in report.transformed.rules
+                for r in self.rules
             ],
-            "stats": {
-                "input_rules": report.stats.input_rules,
-                "output_rules": report.stats.output_rules,
-                "output_boxes": report.stats.output_boxes,
-                "elapsed_ms": report.stats.elapsed_ms,
-            },
+            "stats": asdict(self.stats),
         }
         return json.dumps(doc, indent=2) + "\n"
+
+    @classmethod
+    def from_json(cls, text: str) -> ReportDocument:
+        """Read ``to_json`` output back; malformed input raises ParseError."""
+        try:
+            doc = json.loads(text)
+            if doc["version"] != REPORT_SCHEMA_VERSION:
+                raise ParseError(f"unsupported report version {doc['version']!r}")
+            st = doc["stats"]
+            return cls(
+                tool_version=_typed(doc["tool_version"], str),
+                algorithm=_typed(doc["algorithm"], str),
+                input_digest=_typed(doc.get("input_digest"), str, type(None)),
+                domain=DomainSpec.of(
+                    *((_typed(a["name"], str), *_ints((a["lo"], a["hi"]))) for a in doc["domain"])
+                ),
+                warnings=tuple(
+                    RuleWarning(_typed(w["rule"], int), WarningKind(w["kind"]))
+                    for w in doc["warnings"]
+                ),
+                rules=tuple(
+                    Rule(
+                        _typed(r["order"], int),
+                        tuple(Box.from_pairs(*map(_ints, box)) for box in r["condition"]),
+                        Decision(r["decision"]),
+                    )
+                    for r in doc["rules"]
+                ),
+                stats=AuditStats(
+                    *_ints((st["input_rules"], st["output_rules"], st["output_boxes"])),
+                    _typed(st["elapsed_ms"], int, float),
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            # json.JSONDecodeError is a ValueError
+            raise ParseError(f"bad report JSON: {e!r}") from None
+
+
+report_from_json = ReportDocument.from_json
+
+
+def emit_report(report: AuditReport, format: str = "text", *, digest: str | None = None) -> str:
+    """Render an audit report as schema-versioned JSON or as readable text."""
+    if format == "json":
+        return ReportDocument.from_report(report, digest).to_json()
     if format == "text":
         s = report.stats
         lines = [
@@ -342,36 +385,3 @@ def emit_report(report: AuditReport, format: str = "text", *, digest: str | None
         lines.append(serialize_ruleset(report.transformed).rstrip("\n"))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {format!r}")
-
-
-def report_from_json(text: str) -> ReportDocument:
-    """Reparse emit_report's JSON output; inverse of emit_report(fmt='json')."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad report JSON: {e}") from None
-    if doc.get("version") != REPORT_SCHEMA_VERSION:
-        raise ParseError(f"unsupported report version {doc.get('version')!r}")
-    domain = DomainSpec.of(*((a["name"], a["lo"], a["hi"]) for a in doc["domain"]))
-    rules = tuple(
-        Rule(
-            r["order"],
-            tuple(Box(tuple(Interval(lo, hi) for lo, hi in box)) for box in r["condition"]),
-            Decision(r["decision"]),
-        )
-        for r in doc["rules"]
-    )
-    warnings = tuple(
-        RuleWarning(w["rule"], WarningKind(w["kind"])) for w in doc["warnings"]
-    )
-    st = doc["stats"]
-    stats = AuditStats(st["input_rules"], st["output_rules"], st["output_boxes"], st["elapsed_ms"])
-    return ReportDocument(
-        tool_version=doc["tool_version"],
-        algorithm=doc["algorithm"],
-        input_digest=doc.get("input_digest"),
-        domain=domain,
-        warnings=warnings,
-        rules=rules,
-        stats=stats,
-    )

@@ -24,22 +24,16 @@ class Rule:
     """One ordered filtering rule.
 
     ``position`` is the rule's place in the original configuration and is
-    preserved through every transform.  The shadowing/redundancy flags
-    start false and are only ever set by the audit algorithms, which also
-    guarantee a flagged rule has an empty condition.
+    preserved through every transform.
     """
 
     position: int
     condition: tuple[Box, ...]
     decision: Decision
-    shadowing: bool = False
-    redundancy: bool = False
 
     def __post_init__(self):
         if self.position < 1:
             raise ValueError(f"rule position must be >= 1, got {self.position}")
-        if (self.shadowing or self.redundancy) and self.condition:
-            raise ValueError(f"rule {self.position}: flagged rules must have empty conditions")
 
     @property
     def is_empty(self) -> bool:
@@ -77,11 +71,10 @@ class Ruleset:
 def exclusion(b: Rule, a: Rule) -> Rule:
     """Return a copy of rule b whose condition avoids everything a matches.
 
-    The result keeps b's decision and position, has both flags reset to
-    false, and its condition covers exactly the packets of b's condition
-    that are in none of a's boxes.  a's boxes are subtracted one at a time
-    from the whole working set, which keeps the output pairwise disjoint
-    even when a has several boxes.
+    The result keeps b's decision and position, and its condition covers
+    exactly the packets of b's condition that are in none of a's boxes.
+    a's boxes are subtracted one at a time from the whole working set,
+    which keeps the output pairwise disjoint even when a has several boxes.
     """
     working = list(b.condition)
     for abox in a.condition:
@@ -97,4 +90,4 @@ def exclusion(b: Rule, a: Rule) -> Rule:
                 raise ArityError(f"rules disagree on attribute count ({wbox.p} vs {arity})")
             refined.extend(box_subtract(wbox, abox))
         working = refined
-    return replace(b, condition=tuple(working), shadowing=False, redundancy=False)
+    return replace(b, condition=tuple(working))

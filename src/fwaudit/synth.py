@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .intervals import AttributeDomain, Box, DomainSpec, Interval, box_intersects
 from .rules import Decision, Rule, Ruleset
@@ -114,7 +114,7 @@ def _fresh_disjoint_box(rng: random.Random, domain: DomainSpec, existing: list[B
         box = Box(tuple(_fresh_interval(rng, a) for a in domain.attributes))
         if not any(box_intersects(box, other) for other in existing):
             return box
-    raise RuntimeError(
+    raise ValueError(
         f"no disjoint box found in {_FRESH_TRIES} tries; the domain is too crowded"
     )
 
@@ -138,7 +138,3 @@ def worst_case_family(n: int, p: int) -> Ruleset:
         for k in range(1, n + 1)
     )
     return Ruleset(domain, rules)
-
-
-def reseeded(prof: GeneratorProfile, seed: int) -> GeneratorProfile:
-    return replace(prof, seed=seed)

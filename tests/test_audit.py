@@ -12,9 +12,9 @@ from fwaudit import (
     equivalent,
     find_redundant,
     find_shadowed,
+    probe_redundancy,
     rewrite,
 )
-from fwaudit import test_redundancy as probe_redundancy
 from fwaudit.audit import RewriteMode, RuleWarning, WarningKind
 from fwaudit.intervals import boxes_pairwise_disjoint
 from fwaudit.rules import Decision
@@ -207,6 +207,20 @@ class TestAuditProperties:
     """Brute-force spot checks of the transformation guarantees."""
 
     dom = DomainSpec.of(("s", 0, 63), ("d", 0, 63))
+
+    @pytest.mark.parametrize("algorithm", [detection, complete_detection])
+    def test_empty_input_rule_is_shadowing(self, algorithm):
+        # no earlier rule differs in decision from rule 2, and rule 1 is
+        # absorbed by rule 3, so no exclusion ever reaches rule 2
+        rs = Ruleset(
+            DomainSpec.of(("s", 0, 100)),
+            (
+                rule(1, "accept", ((10, 20),)),
+                Rule(2, (), Decision.ACCEPT),
+                rule(3, "accept", ((0, 50),)),
+            ),
+        )
+        assert (2, "shadowing") in warn_set(algorithm(rs))
 
     @pytest.mark.parametrize("algorithm", [detection, complete_detection])
     def test_equivalence_disjointness_idempotence(self, algorithm):

@@ -140,6 +140,8 @@ class TestGen:
                      "--domain", "source=[0,63],destination=[0,63],protocol=[0,0],sport=[0,0],dport=[0,0]",
                      "--output", str(f)]) == 0
         assert "source=[0,63]" in f.read_text().splitlines()[0]
+        assert main(["gen", "--profile", "beginner", "--count", "5",
+                     "--domain", "bogus=[0,1]", "--output", str(f)]) == 2
 
 
 class TestBenchCommand:
@@ -173,6 +175,39 @@ class TestBenchCommand:
         cfg = tmp_path / "plan.json"
         cfg.write_text("{not json")
         assert main(["bench", "--config", str(cfg)]) == 2
+
+
+def _file(path, text):
+    path.write_text(text)
+    return path
+
+
+BAD_INPUTS = {
+    "gen-count-0": lambda tmp: ["gen", "--profile", "beginner", "--count", "0"],
+    "check-samples-0": lambda tmp: ["check", TABLE1, TABLE1, "--samples", "0"],
+    "bench-config-not-an-object": lambda tmp: [
+        "bench", "--config", _file(tmp / "plan.json", "[1]")],
+    "bench-unknown-algorithm": lambda tmp: [
+        "bench", "--config", _file(tmp / "plan.json", json.dumps({"algorithms": ["fastest"]}))],
+    "bench-short-worst-case": lambda tmp: [
+        "bench", "--config", _file(tmp / "plan.json", json.dumps({"sizes": [], "worst_case": [[1, 2]]}))],
+    "bench-unknown-domain-attribute": lambda tmp: [
+        "bench", "--config", _file(tmp / "plan.json", json.dumps({"sizes": [], "domain": "bogus=[0,1]"}))],
+    "duplicate-header-attribute": lambda tmp: [
+        "audit", _file(tmp / "dup.rules", "@domain s=[0,9], s=[0,9]\n")],
+    "inverted-domain-flag": lambda tmp: ["audit", TABLE1, "--domain", "source=[3,1]"],
+    "crowded-gen": lambda tmp: [
+        "gen", "--profile", "beginner", "--count", "50",
+        "--domain", "protocol=[0,0],source=[0,1],sport=[0,0],destination=[0,1],dport=[0,0]"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
+    assert main([str(a) for a in BAD_INPUTS[case](tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 class TestUsage:

@@ -33,12 +33,6 @@ class TestExclusionExamples:
 
 
 class TestRuleInvariants:
-    def test_flagged_rules_must_be_empty(self):
-        with pytest.raises(ValueError):
-            Rule(1, (box((1, 2), (1, 2)),), Decision.DENY, shadowing=True)
-        with pytest.raises(ValueError):
-            Rule(1, (box((1, 2), (1, 2)),), Decision.DENY, redundancy=True)
-
     def test_positions_start_at_one(self):
         with pytest.raises(ValueError):
             Rule(0, (), Decision.DENY)
@@ -51,12 +45,11 @@ class TestRuleInvariants:
 
 class TestExclusionContract:
     def test_keeps_decision_resets_flags(self):
-        b = Rule(7, (), Decision.DENY, shadowing=True)
+        b = Rule(7, (), Decision.DENY)
         a = rule(1, "accept", ((1, 5), (1, 5)))
         got = exclusion(b, a)
         assert got.decision is Decision.DENY
         assert got.position == 7
-        assert not got.shadowing and not got.redundancy
 
     def test_inputs_not_modified(self):
         b = rule(2, "accept", ((1, 50), (1, 50)))

@@ -119,6 +119,11 @@ class TestParse:
         )
         assert rs.domain.attributes[1].hi == 100
         assert rs.rules[0].condition[0].intervals[1] == Interval(1, 100)
+        for bad in ("source=[1,100], source=[1,100]", "source=[100,1]"):
+            with pytest.raises(ValidationError):
+                parse_domain_overrides(bad)
+            with pytest.raises(ValidationError, match="line 2"):
+                parse_ruleset(f"# header follows\n@domain {bad}\n")
 
     def test_unknown_override_rejected(self):
         with pytest.raises(DomainError):
@@ -192,6 +197,22 @@ class TestReports:
         digest = input_digest(text)
         emitted = emit_report(report, "json", digest=digest)
         assert report_from_json(emitted) == ReportDocument.from_report(report, digest)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: {"version": 1},
+        lambda doc: [doc],
+        lambda doc: {k: v for k, v in doc.items() if k != "stats"},
+        lambda doc: {**doc, "rules": [{**doc["rules"][0], "order": "1"}]},
+        lambda doc: {**doc, "rules": [{**doc["rules"][0], "condition": [[["1", "2"]]]}]},
+        lambda doc: {**doc, "domain": [{**doc["domain"][0], "lo": True}, *doc["domain"][1:]]},
+        lambda doc: {**doc, "warnings": [{"rule": 2, "kind": "odd"}]},
+        lambda doc: {**doc, "stats": {**doc["stats"], "elapsed_ms": "fast"}},
+    ])
+    def test_malformed_json_report_is_parse_error(self, mutate):
+        report, text = self._report()
+        doc = json.loads(emit_report(report, "json", digest=input_digest(text)))
+        with pytest.raises(ParseError):
+            report_from_json(json.dumps(mutate(doc)))
 
     def test_json_shape(self):
         report, text = self._report()

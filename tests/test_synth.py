@@ -17,7 +17,6 @@ from fwaudit import (
     worst_case_family,
 )
 from fwaudit.intervals import box_intersects, boxes_pairwise_disjoint
-from fwaudit.synth import reseeded
 
 FIVE = DomainSpec.five_tuple()
 SMALL = DomainSpec.of(("s", 0, 63), ("d", 0, 63))
@@ -98,10 +97,6 @@ class TestGenerate:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             generate(profile("beginner"), 0, FIVE)
-
-    def test_reseeded_helper(self):
-        p = profile("expert", seed=0)
-        assert reseeded(p, 5).seed == 5 and p.seed == 0
 
 
 class TestWorstCaseFamily:
