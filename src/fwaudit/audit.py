@@ -15,12 +15,23 @@ from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .errors import DisjointnessError
-from .intervals import Box, bounding_box, box_intersects, boxes_pairwise_disjoint
+from .intervals import (
+    Box,
+    DomainSpec,
+    bounding_box,
+    bounds_dtype,
+    box_bounds,
+    box_intersects,
+    boxes_pairwise_disjoint,
+    rows_touching,
+)
 from .rules import Decision, Rule, Ruleset, exclusion
 
 
@@ -82,35 +93,87 @@ def _assemble(
     return AuditReport(algorithm, transformed, warnings, stats)
 
 
-def _hulls(rules: list[Rule]) -> list[Box | None]:
-    return [bounding_box(r.condition) for r in rules]
+def _empty_input_labels(rules: list[Rule]) -> list[WarningKind | None]:
+    # an empty input rule is never a first match; no exclusion reaches it,
+    # so it is labelled here, once, before the scans
+    return [WarningKind.SHADOWING if r.is_empty else None for r in rules]
 
 
-def _hulls_touch(a: Box | None, b: Box | None) -> bool:
-    # a rule pair whose condition hulls are disjoint is untouched by
-    # exclusion, so the O(boxes * boxes) subtraction can be skipped
-    return a is not None and b is not None and box_intersects(a, b)
+@dataclass(slots=True)
+class _Hulls:
+    """Condition hulls of a rule list as (n, p) lower/upper bound arrays.
+
+    ``accept`` marks the accept rules and ``alive`` the rules whose
+    condition is not empty; the bounds of a dead row are stale and never
+    touch.  The dtype is int64 when the domain fits it, else ``object``.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    accept: np.ndarray
+    alive: np.ndarray
+
+    @classmethod
+    def of(cls, rules: Sequence[Rule], domain: DomainSpec) -> _Hulls:
+        dtype = bounds_dtype(
+            min(a.lo for a in domain.attributes), max(a.hi for a in domain.attributes)
+        )
+        hulls = [bounding_box(r.condition) for r in rules]
+        full = domain.full_box()
+        lo, hi = box_bounds([h or full for h in hulls], domain.p, dtype)
+        accept = np.array([r.decision == Decision.ACCEPT for r in rules], dtype=bool)
+        return cls(lo, hi, accept, np.array([h is not None for h in hulls], dtype=bool))
+
+    def copy(self) -> _Hulls:
+        return replace(self, lo=self.lo.copy(), hi=self.hi.copy(), alive=self.alive.copy())
+
+    def update(self, j: int, rule: Rule) -> None:
+        hull = bounding_box(rule.condition)
+        self.alive[j] = hull is not None
+        if hull is not None:
+            self.lo[j] = [iv.lo for iv in hull.intervals]
+            self.hi[j] = [iv.hi for iv in hull.intervals]
+
+    def bounds(self, box: Box) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = box_bounds([box], box.p, self.lo.dtype)
+        return lo[0], hi[0]
+
+    def same_decision(self, i: int) -> np.ndarray:
+        return self.accept == self.accept[i]
+
+    def touching(
+        self, lo: np.ndarray, hi: np.ndarray, start: int, stop: int, mask: np.ndarray | None = None
+    ) -> list[int]:
+        """Indices in [start, stop), ascending, of the live rows that ``mask``
+        keeps and whose hull shares a packet with the box ``lo``/``hi``.
+
+        Excluding a rule whose hull does not touch is the identity, so a
+        scan may visit only these rows.
+        """
+        hit = self.alive[start:stop] & rows_touching(self.lo[start:stop], self.hi[start:stop], lo, hi)
+        if mask is not None:
+            hit &= mask[start:stop]
+        return (np.flatnonzero(hit) + start).tolist()
 
 
 def _exclude_forward(
     rules: list[Rule],
-    hulls: list[Box | None],
+    hulls: _Hulls,
     kinds: list[WarningKind | None],
     i: int,
     same_decision: bool | None,
 ) -> None:
     """Exclude rule i from later rules: all (None), same-decision (True) or differing (False).
 
-    Every empty, unlabelled later rule is labelled shadowing, so empty
-    input rules are reported too.
+    Every unlabelled later rule this empties is labelled shadowing.
     """
-    ri, hull = rules[i], hulls[i]
-    for j in range(i + 1, len(rules)):
-        rj = rules[j]
-        picked = same_decision is None or (ri.decision == rj.decision) == same_decision
-        if picked and _hulls_touch(hull, hulls[j]):
-            rj = rules[j] = exclusion(rj, ri)
-            hulls[j] = bounding_box(rj.condition)
+    ri = rules[i]
+    if ri.is_empty:
+        return
+    mask = None if same_decision is None else hulls.same_decision(i) == same_decision
+    for j in hulls.touching(hulls.lo[i], hulls.hi[i], i + 1, len(rules), mask):
+        rj = rules[j] = exclusion(rules[j], ri)
+        hulls.update(j, rj)
         if kinds[j] is None and rj.is_empty:
             kinds[j] = WarningKind.SHADOWING
 
@@ -124,24 +187,25 @@ def detection(ruleset: Ruleset) -> AuditReport:
     """
     t0 = time.perf_counter()
     rules = list(ruleset.rules)
-    hulls = _hulls(rules)
-    kinds: list[WarningKind | None] = [None] * len(rules)
+    hulls = _Hulls.of(rules, ruleset.domain)
+    kinds = _empty_input_labels(rules)
     for i in range(len(rules) - 1):
         _exclude_forward(rules, hulls, kinds, i, None)
     return _assemble("detection", ruleset, rules, kinds, t0)
 
 
-def _absorbed_by_later(rules: list[Rule], hulls: list[Box | None], i: int) -> bool:
+def _absorbed_by_later(rules: list[Rule], hulls: _Hulls, i: int) -> bool:
     """Is rule i's condition fully covered by later rules with its decision?"""
     temp = rules[i]
-    hull = hulls[i]
-    for j in range(i + 1, len(rules)):
-        if temp.decision == rules[j].decision:
-            if _hulls_touch(hull, hulls[j]):
-                temp = exclusion(temp, rules[j])
-                hull = bounding_box(temp.condition)
-            if temp.is_empty:
-                return True
+    same = hulls.same_decision(i)
+    if temp.is_empty:
+        return bool(same[i + 1 :].any())
+    # the hull of temp only shrinks, so rows that miss its starting hull
+    # can never absorb any of it
+    for j in hulls.touching(hulls.lo[i], hulls.hi[i], i + 1, len(rules), same):
+        temp = exclusion(temp, rules[j])
+        if temp.is_empty:
+            return True
     return False
 
 
@@ -153,7 +217,7 @@ def probe_redundancy(ruleset: Ruleset, i: int) -> bool:
     if not 1 <= i <= len(ruleset.rules):
         raise IndexError(f"rule index {i} out of range 1..{len(ruleset.rules)}")
     rules = list(ruleset.rules)
-    return _absorbed_by_later(rules, _hulls(rules), i - 1)
+    return _absorbed_by_later(rules, _Hulls.of(rules, ruleset.domain), i - 1)
 
 
 # deprecated alias, kept for one release: pytest collects names starting test_
@@ -164,21 +228,19 @@ def _meets(a: Rule, b: Rule) -> bool:
     return any(box_intersects(x, y) for x in a.condition for y in b.condition)
 
 
-def _shadowed_in(original: tuple[Rule, ...], hulls: list[Box | None], j: int) -> bool:
+def _shadowed_in(original: tuple[Rule, ...], hulls: _Hulls, j: int) -> bool:
     """Is original rule j covered by the rules before it, so never a first match?"""
-    rest, hull = original[j], hulls[j]
-    for k in range(j):
+    rest = original[j]
+    for k in hulls.touching(hulls.lo[j], hulls.hi[j], 0, j):
+        rest = exclusion(rest, original[k])
         if rest.is_empty:
             break
-        if _hulls_touch(hull, hulls[k]):
-            rest = exclusion(rest, original[k])
-            hull = bounding_box(rest.condition)
     return rest.is_empty
 
 
 def _redundant_in(
     original: tuple[Rule, ...],
-    hulls: list[Box | None],
+    hulls: _Hulls,
     effective: Rule,
     i: int,
     is_shadowed: Callable[[int], bool],
@@ -193,16 +255,16 @@ def _redundant_in(
     aside: like the worked five-rule example's R4, it is a finding of its
     own, not a reason to keep rule i.
     """
-    rest, hull = effective, bounding_box(effective.condition)
-    for j in range(i + 1, len(original)):
+    rest = effective
+    lo, hi = hulls.bounds(bounding_box(effective.condition))
+    for j in hulls.touching(lo, hi, i + 1, len(original)):
         rj = original[j]
-        if not _hulls_touch(hull, hulls[j]) or not _meets(rest, rj):
+        if not _meets(rest, rj):
             continue
         if rj.decision == rest.decision:
             rest = exclusion(rest, rj)
             if rest.is_empty:
                 return True
-            hull = bounding_box(rest.condition)
         elif not is_shadowed(j):
             return False
     return False
@@ -230,12 +292,12 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     t0 = time.perf_counter()
     original = ruleset.rules
     rules = list(original)
-    hulls = _hulls(rules)
-    original_hulls = list(hulls)
+    hulls = _Hulls.of(rules, ruleset.domain)
+    original_hulls = hulls.copy()
     is_shadowed = functools.cache(lambda j: _shadowed_in(original, original_hulls, j))
-    kinds: list[WarningKind | None] = [None] * len(rules)
-    emptied: list[int] = []
+    kinds = _empty_input_labels(rules)
     n = len(rules)
+    emptied = np.zeros(n, dtype=bool)
 
     for i in range(n - 1):
         _exclude_forward(rules, hulls, kinds, i, False)
@@ -246,22 +308,23 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
             # against it is the identity, and probing it for redundancy
             # would only relabel a rule that is not really there anymore.
             continue
-        effective, overlaps_emptied = rules[i], False
-        for k in emptied:
-            if original[k].decision == effective.decision and _hulls_touch(hulls[i], original_hulls[k]):
-                effective = exclusion(effective, original[k])
-                overlaps_emptied = True
+        effective = rules[i]
+        overlapped = original_hulls.touching(
+            hulls.lo[i], hulls.hi[i], 0, i, emptied & hulls.same_decision(i)
+        )
+        for k in overlapped:
+            effective = exclusion(effective, original[k])
         absorbed = _absorbed_by_later(rules, hulls, i)
         if effective.is_empty:
             kinds[i] = WarningKind.SHADOWING
-        elif (absorbed or overlaps_emptied) and _redundant_in(
+        elif (absorbed or overlapped) and _redundant_in(
             original, original_hulls, effective, i, is_shadowed
         ):
             kinds[i] = WarningKind.REDUNDANCY
         if absorbed and kinds[i] is not None:
             rules[i] = replace(rules[i], condition=())
-            hulls[i] = None
-            emptied.append(i)
+            hulls.alive[i] = False
+            emptied[i] = True
         else:
             _exclude_forward(rules, hulls, kinds, i, True)
     return _assemble("complete", ruleset, rules, kinds, t0)

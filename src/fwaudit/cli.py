@@ -96,19 +96,41 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(check(v) for v in value)
+
+
+def _config_field(cfg: dict, key: str, default, check, want: str):
+    value = cfg.get(key, default)
+    if not check(value):
+        raise ValidationError(f"bench config field {key!r} must be {want}, got {value!r}")
+    return value
+
+
 def _cmd_bench(args) -> int:
     cfg = json.loads(_read(args.config))
     if not isinstance(cfg, dict):
         raise ValidationError("a bench config must be a JSON object")
+    names, ints = _list_of(lambda v: isinstance(v, str)), _list_of(_is_int)
     records = bench(
-        algorithms=cfg.get("algorithms", list(ALGORITHMS)),
-        profiles=cfg.get("profiles", list(PROFILE_NAMES)),
-        sizes=cfg.get("sizes", [50, 100]),
-        seeds=int(cfg.get("seeds", 5)),
-        domain=_five_tuple_with(cfg.get("domain")),
+        algorithms=_config_field(cfg, "algorithms", list(ALGORITHMS), names, "a list of names"),
+        profiles=_config_field(cfg, "profiles", list(PROFILE_NAMES), names, "a list of names"),
+        sizes=_config_field(cfg, "sizes", [50, 100], ints, "a list of integers"),
+        seeds=_config_field(cfg, "seeds", 5, _is_int, "an integer"),
+        domain=_five_tuple_with(
+            _config_field(cfg, "domain", None, lambda v: v is None or isinstance(v, str), "a string")
+        ),
     )
-    records.extend(bench_worst_case(cfg.get("worst_case", [])))
-    _write(cfg.get("output", args.output), records_to_csv(records))
+    pairs = _list_of(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)))
+    records.extend(bench_worst_case(
+        _config_field(cfg, "worst_case", [], pairs, "a list of [n, p] pairs")
+    ))
+    output = _config_field(cfg, "output", args.output, lambda v: isinstance(v, str), "a path")
+    _write(output, records_to_csv(records))
     return 0
 
 

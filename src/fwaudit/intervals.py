@@ -12,7 +12,10 @@ an empty list for boxes), never by an inverted interval.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ArityError, DomainError
 
@@ -208,10 +211,45 @@ def bounding_box(boxes: tuple[Box, ...] | list[Box]) -> Box | None:
     return Box(tuple(Interval(lo, hi) for lo, hi in zip(los, his)))
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def bounds_dtype(lo: int, hi: int) -> type:
+    """Array dtype that holds every integer in [lo, hi] exactly: int64 when
+    the range fits, else ``object``, whose Python integers never overflow."""
+    return np.int64 if _INT64.min <= lo and hi <= _INT64.max else object
+
+
+def box_bounds(boxes: Sequence[Box], p: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of p-attribute boxes as two (len(boxes), p) arrays."""
+    lo = np.array([[iv.lo for iv in b.intervals] for b in boxes], dtype=dtype)
+    hi = np.array([[iv.hi for iv in b.intervals] for b in boxes], dtype=dtype)
+    return lo.reshape(len(boxes), p), hi.reshape(len(boxes), p)
+
+
+def rows_touching(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows of the (m, p) bound arrays ``lo``/``hi`` whose
+    box shares a packet with the box bounded by ``box_lo``/``box_hi``."""
+    return ((lo <= box_hi) & (box_lo <= hi)).all(axis=1)
+
+
 def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:
-    """True iff no two boxes in the sequence share a packet."""
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if box_intersects(boxes[i], boxes[j]):
-                return False
-    return True
+    """True iff no two boxes in the sequence share a packet.
+
+    Each box is tested against all later boxes in one array operation.
+    Raises ArityError when the boxes disagree on their attribute count.
+    """
+    if len(boxes) < 2:
+        return True
+    p = boxes[0].p
+    for b in boxes:
+        if b.p != p:
+            raise ArityError(f"boxes have {p} and {b.p} attributes")
+    dtype = bounds_dtype(
+        min((iv.lo for b in boxes for iv in b.intervals), default=0),
+        max((iv.hi for b in boxes for iv in b.intervals), default=0),
+    )
+    lo, hi = box_bounds(boxes, p, dtype)
+    return not any(
+        rows_touching(lo[i + 1 :], hi[i + 1 :], lo[i], hi[i]).any() for i in range(len(boxes) - 1)
+    )

@@ -263,6 +263,16 @@ class TestAuditProperties:
         assert (2, "shadowing") in warn_set(algorithm(rs))
 
     @pytest.mark.parametrize("algorithm", [detection, complete_detection])
+    def test_empty_first_rule_is_shadowing(self, algorithm):
+        # no rule comes before rule 1, so no exclusion can label it
+        rs = Ruleset(
+            DomainSpec.of(("s", 0, 100)),
+            (Rule(1, (), Decision.ACCEPT), rule(2, "deny", ((0, 50),))),
+        )
+        assert find_shadowed(rs) == {1}
+        assert warn_set(algorithm(rs)) == {(1, "shadowing")}
+
+    @pytest.mark.parametrize("algorithm", [detection, complete_detection])
     def test_equivalence_disjointness_idempotence(self, algorithm):
         for seed in range(40):
             rs = _random_ruleset(seed, self.dom)

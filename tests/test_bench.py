@@ -4,10 +4,14 @@ import statistics
 
 import pytest
 
-from fwaudit import DomainSpec, bench, bench_worst_case, records_to_csv
+from fwaudit import DomainSpec, bench, bench_worst_case, complete_detection, records_to_csv
 from fwaudit.bench import CSV_COLUMNS
+from fwaudit.synth import generate, profile
 
 FIVE = DomainSpec.five_tuple()
+SMALL = DomainSpec.of(
+    ("protocol", 0, 0), ("source", 0, 15), ("sport", 0, 3), ("destination", 0, 15), ("dport", 0, 3)
+)
 
 
 class TestBench:
@@ -47,10 +51,19 @@ class TestBench:
         assert med["expert"] >= med["beginner"]
 
     def test_records_carry_warning_counts(self):
-        records = bench(["complete"], ["expert"], [80], seeds=2)
-        for r in records:
-            assert r.out_rules + r.shadowing_warnings + r.redundancy_warnings == 80
-            assert r.p == 5
+        # the small-domain intermediate n = 10 seed 0 ruleset keeps a
+        # labelled rule that carries packets of a rule the audit emptied
+        for prof, n, domain in (("expert", 80, FIVE), ("intermediate", 10, SMALL)):
+            records = bench(["complete"], [prof], [n], seeds=2, domain=domain)
+            for r in records:
+                assert r.out_rules + r.shadowing_warnings + r.redundancy_warnings >= n
+                assert r.p == 5
+                report = complete_detection(generate(profile(prof, seed=r.seed), n, domain))
+                kept = {rule.position for rule in report.transformed.rules}
+                missing = set(range(1, n + 1)) - kept
+                assert missing <= {w.position for w in report.warnings}
+                assert (r.out_rules, r.shadowing_warnings + r.redundancy_warnings) == (
+                    len(kept), len(report.warnings))
 
 
 class TestCsv:

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -80,6 +81,77 @@ class TestRewrite:
         f.write_text("# nothing here\n")
         assert main(["rewrite", str(f), "--mode", "positive"]) == 0
         assert capsys.readouterr().out.startswith("@domain")
+
+
+# Outputs recorded before the audits moved their hull tests onto numpy
+# arrays: bounds beyond int64 must stay exact Python integers, and
+# negative bounds must compare as signed values.
+WIDE = FIXTURES / "wide-domain.rules"
+NEGATIVE = FIXTURES / "negative-domain.rules"
+WIDE_HEADER = "@domain a=[0,99999999999999999999999], b=[0,9]\n"
+NEGATIVE_HEADER = "@domain a=[-100,100], b=[-5,5]\n"
+UNUSUAL_DOMAIN_OUTPUTS = {
+    (WIDE, "audit", "detection"): (1, (
+        "audit: detection\n"
+        "rules in: 5  rules out: 3  boxes out: 5  elapsed: 0 ms\n\n"
+        "warnings:\n  R2: shadowing\n  R5: shadowing\n\n" + WIDE_HEADER +
+        "1, [0,50000000000000000000000], [0,5], accept\n"
+        "3.1, [50000000000000000000001,99999999999999999999999], [3,9], deny\n"
+        "3.2, [40000000000000000000000,50000000000000000000000], [6,9], deny\n"
+        "4.1, [50000000000000000000001,99999999999999999999999], [0,2], deny\n"
+        "4.2, [0,39999999999999999999999], [6,9], deny\n")),
+    (WIDE, "audit", "complete"): (1, (
+        "audit: complete\n"
+        "rules in: 5  rules out: 2  boxes out: 3  elapsed: 0 ms\n\n"
+        "warnings:\n  R2: shadowing\n  R3: redundancy\n  R5: shadowing\n\n" + WIDE_HEADER +
+        "1, [0,50000000000000000000000], [0,5], accept\n"
+        "4.1, [50000000000000000000001,99999999999999999999999], any, deny\n"
+        "4.2, [0,50000000000000000000000], [6,9], deny\n")),
+    (WIDE, "rewrite", "positive"): (0, WIDE_HEADER + "1, [0,50000000000000000000000], [0,5], accept\n"),
+    (WIDE, "rewrite", "negative"): (0, WIDE_HEADER +
+        "4.1, [50000000000000000000001,99999999999999999999999], any, deny\n"
+        "4.2, [0,50000000000000000000000], [6,9], deny\n"),
+    (NEGATIVE, "audit", "detection"): (1, (
+        "audit: detection\n"
+        "rules in: 5  rules out: 3  boxes out: 6  elapsed: 0 ms\n\n"
+        "warnings:\n  R2: shadowing\n  R5: shadowing\n\n" + NEGATIVE_HEADER +
+        "1, [-100,0], [-5,0], accept\n"
+        "3.1, [1,50], [0,5], deny\n"
+        "3.2, [-20,0], [1,5], deny\n"
+        "4.1, [51,100], any, accept\n"
+        "4.2, [1,50], [-5,-1], accept\n"
+        "4.3, [-100,-21], [1,5], accept\n")),
+    (NEGATIVE, "audit", "complete"): (1, (
+        "audit: complete\n"
+        "rules in: 5  rules out: 3  boxes out: 6  elapsed: 0 ms\n\n"
+        "warnings:\n  R2: shadowing\n  R5: shadowing\n\n" + NEGATIVE_HEADER +
+        "1, [-100,0], [-5,0], accept\n"
+        "3.1, [1,50], [0,5], deny\n"
+        "3.2, [-20,0], [1,5], deny\n"
+        "4.1, [-100,-21], [1,5], accept\n"
+        "4.2, [51,100], any, accept\n"
+        "4.3, [1,50], [-5,-1], accept\n")),
+    (NEGATIVE, "rewrite", "positive"): (0, NEGATIVE_HEADER +
+        "1, [-100,0], [-5,0], accept\n"
+        "4.1, [-100,-21], [1,5], accept\n"
+        "4.2, [51,100], any, accept\n"
+        "4.3, [1,50], [-5,-1], accept\n"),
+    (NEGATIVE, "rewrite", "negative"): (0, NEGATIVE_HEADER +
+        "3.1, [1,50], [0,5], deny\n"
+        "3.2, [-20,0], [1,5], deny\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "path, command, how", UNUSUAL_DOMAIN_OUTPUTS, ids=lambda v: getattr(v, "stem", v)
+)
+def test_unusual_domain_outputs_are_pinned(path, command, how, capsys):
+    flag = "--algorithm" if command == "audit" else "--mode"
+    code = main([command, str(path), flag, how])
+    captured = capsys.readouterr()
+    out = re.sub(r"elapsed: [0-9.]+ ms", "elapsed: 0 ms", captured.out)
+    assert (code, out) == UNUSUAL_DOMAIN_OUTPUTS[path, command, how]
+    assert "Traceback" not in captured.err
 
 
 class TestCheck:
@@ -176,10 +248,21 @@ class TestBenchCommand:
         cfg.write_text("{not json")
         assert main(["bench", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("field, value", [("profiles", "beginner"), ("algorithms", "complete")])
+    def test_string_for_a_list_names_the_field(self, field, value, tmp_path, capsys):
+        # a string is iterable, so unchecked it read as its first letter
+        cfg = _file(tmp_path / "plan.json", json.dumps({field: value}))
+        assert main(["bench", "--config", str(cfg)]) == 2
+        assert f"bench config field {field!r}" in capsys.readouterr().err
+
 
 def _file(path, text):
     path.write_text(text)
     return path
+
+
+def _bench_with(cfg):
+    return lambda tmp: ["bench", "--config", _file(tmp / "plan.json", json.dumps(cfg))]
 
 
 BAD_INPUTS = {
@@ -193,6 +276,13 @@ BAD_INPUTS = {
         "bench", "--config", _file(tmp / "plan.json", json.dumps({"sizes": [], "worst_case": [[1, 2]]}))],
     "bench-unknown-domain-attribute": lambda tmp: [
         "bench", "--config", _file(tmp / "plan.json", json.dumps({"sizes": [], "domain": "bogus=[0,1]"}))],
+    "bench-sizes-not-a-list": _bench_with({"sizes": 5}),
+    "bench-worst-case-not-pairs": _bench_with({"sizes": [], "worst_case": [5]}),
+    "bench-profiles-a-string": _bench_with({"profiles": "beginner"}),
+    "bench-algorithms-a-string": _bench_with({"algorithms": "complete"}),
+    "bench-seeds-a-list": _bench_with({"sizes": [], "seeds": [1]}),
+    "bench-output-a-number": _bench_with({"sizes": [], "output": 5}),
+    "bench-domain-a-number": _bench_with({"sizes": [], "domain": 5}),
     "duplicate-header-attribute": lambda tmp: [
         "audit", _file(tmp / "dup.rules", "@domain s=[0,9], s=[0,9]\n")],
     "inverted-domain-flag": lambda tmp: ["audit", TABLE1, "--domain", "source=[3,1]"],

@@ -39,6 +39,19 @@ def boxes_st(p: int, hi: int = 7):
     return st.tuples(*([one] * p)).map(Box)
 
 
+# endpoints at and next to the IPv4 address bounds, so that boxes often
+# meet in a single point, plus values beyond int64 on both sides
+EDGE_VALUES = (0, 1, 2, 2**32 - 2, 2**32 - 1)
+WIDE_VALUES = EDGE_VALUES + (-(2**64), 2**64)
+
+
+def edge_boxes_st(p: int, values=EDGE_VALUES):
+    one = st.tuples(st.sampled_from(values), st.sampled_from(values)).map(
+        lambda t: Interval(min(t), max(t))
+    )
+    return st.tuples(*([one] * p)).map(Box)
+
+
 class TestInterval:
     def test_inverted_rejected(self):
         with pytest.raises(ValueError):
@@ -152,6 +165,24 @@ class TestHelpers:
         assert boxes_pairwise_disjoint([box((1, 2), (1, 2)), box((3, 4), (1, 2))])
         assert not boxes_pairwise_disjoint([box((1, 3), (1, 2)), box((3, 4), (1, 2))])
         assert boxes_pairwise_disjoint([])
+        assert boxes_pairwise_disjoint([box((0, 2**32 - 1))])
+        top = 2**32 - 1
+        assert not boxes_pairwise_disjoint([box((0, 5), (0, top)), box((5, 9), (top, top))])
+        assert boxes_pairwise_disjoint([box((0, 4), (0, top)), box((5, 9), (top, top))])
+
+    @pytest.mark.parametrize("p, values", [(1, EDGE_VALUES), (3, EDGE_VALUES), (2, WIDE_VALUES)])
+    @given(data=st.data())
+    def test_pairwise_disjoint_matches_all_pairs(self, p, values, data):
+        boxes = data.draw(st.lists(edge_boxes_st(p, values), max_size=8))
+        expected = not any(box_intersects(a, b) for a, b in itertools.combinations(boxes, 2))
+        assert boxes_pairwise_disjoint(boxes) == expected
+
+    @given(data=st.data())
+    def test_pairwise_disjoint_mixed_arity_raises(self, data):
+        boxes = data.draw(st.lists(edge_boxes_st(2), min_size=1, max_size=6))
+        boxes.insert(data.draw(st.integers(0, len(boxes))), data.draw(edge_boxes_st(3)))
+        with pytest.raises(ArityError):
+            boxes_pairwise_disjoint(boxes)
 
     def test_bounding_box(self):
         assert bounding_box([]) is None
