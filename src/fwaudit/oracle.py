@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, DomainTooLargeError
-from .intervals import DomainSpec
+from .intervals import DomainSpec, bounds_dtype
 from .rules import Decision, Rule, Ruleset
 
 DEFAULT_BUDGET = 10_000_000
@@ -149,21 +149,55 @@ def find_redundant(ruleset: Ruleset, budget: int = DEFAULT_BUDGET) -> set[int]:
     return redundant
 
 
-def _sample_outcomes(rules: tuple[Rule, ...], columns: list[np.ndarray]) -> np.ndarray:
-    n = columns[0].size
-    out = np.full(n, -1, dtype=np.int8)
-    unclaimed = np.ones(n, dtype=bool)
+def _sample_outcomes(
+    domain: DomainSpec,
+    rules: tuple[Rule, ...],
+    columns: list[np.ndarray],
+    orders: dict[int, np.ndarray],
+) -> np.ndarray:
+    """First-match outcome code of every sample, -1 where no rule matches.
+
+    Each box looks only at the samples inside its range on the attribute
+    where it covers the smallest share of the domain: uniform samples
+    make that the attribute with the fewest expected hits.  ``orders``
+    holds the argsort of each column some box has picked; callers share
+    it between rulesets checked on the same columns.
+    """
+    widths = [a.hi - a.lo + 1 for a in domain.attributes]
+    out = np.full(columns[0].size, -1, dtype=np.int8)
     for rule in rules:
-        matched = np.zeros(n, dtype=bool)
+        code = _OUTCOME_CODE[rule.decision]
         for box in rule.condition:
-            m = np.ones(n, dtype=bool)
-            for iv, col in zip(box.intervals, columns):
-                m &= (col >= iv.lo) & (col <= iv.hi)
-            matched |= m
-        take = matched & unclaimed
-        out[take] = _OUTCOME_CODE[rule.decision]
-        unclaimed &= ~matched
+            ivs = box.intervals
+            k = min(range(len(ivs)), key=lambda j: ivs[j].size / widths[j])
+            if k not in orders:
+                orders[k] = np.argsort(columns[k])
+            order, col = orders[k], columns[k]
+            start = np.searchsorted(col, ivs[k].lo, side="left", sorter=order)
+            stop = np.searchsorted(col, ivs[k].hi, side="right", sorter=order)
+            cand = order[start:stop]
+            cand = cand[out[cand] == -1]
+            for j, (iv, column) in enumerate(zip(ivs, columns)):
+                if j != k and cand.size:
+                    values = column[cand]
+                    cand = cand[(values >= iv.lo) & (values <= iv.hi)]
+            out[cand] = code
     return out
+
+
+def _sample_columns(domain: DomainSpec, samples: int, seed: int) -> list[np.ndarray]:
+    """Seeded uniform random packets, one int64 column per attribute."""
+    for a in domain.attributes:
+        if bounds_dtype(a.lo, a.hi) is not np.int64:
+            raise DomainError(
+                f"attribute {a.name} [{a.lo},{a.hi}] does not fit in 64-bit integers; "
+                "sampling draws int64 packets"
+            )
+    rng = np.random.default_rng(seed)
+    return [
+        rng.integers(a.lo, a.hi, size=samples, endpoint=True, dtype=np.int64)
+        for a in domain.attributes
+    ]
 
 
 def sample_equivalent(
@@ -183,13 +217,10 @@ def sample_equivalent(
         raise DomainError("rulesets declare different domains")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    columns = [
-        rng.integers(a.lo, a.hi, size=samples, endpoint=True, dtype=np.int64)
-        for a in r1.domain.attributes
-    ]
-    o1 = _apply_default(_sample_outcomes(r1.rules, columns), default)
-    o2 = _apply_default(_sample_outcomes(r2.rules, columns), default)
+    columns = _sample_columns(r1.domain, samples, seed)
+    orders: dict[int, np.ndarray] = {}
+    o1 = _apply_default(_sample_outcomes(r1.domain, r1.rules, columns, orders), default)
+    o2 = _apply_default(_sample_outcomes(r2.domain, r2.rules, columns, orders), default)
     diff = np.flatnonzero(o1 != o2)
     if diff.size == 0:
         return EquivalenceResult(True)

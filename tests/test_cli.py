@@ -177,6 +177,29 @@ class TestCheck:
     def test_sampled_mode(self, tmp_path, capsys):
         assert main(["check", str(TABLE1), str(TABLE1), "--samples", "500", "--seed", "7"]) == 0
 
+    def test_sampled_planted_five_tuple_difference(self, tmp_path, capsys):
+        # files without a header use the five-tuple domain; the second file
+        # lacks rule 2.  Recorded before the sampled oracle scanned only each
+        # box's narrowest attribute range.
+        rules = [
+            "1, [0,15], [0,2147483647], any, any, [0,1023], deny",
+            "2, [0,7], any, [1024,65535], [0,268435455], any, deny",
+            "3, any, any, any, any, any, accept",
+        ]
+        original = _file(tmp_path / "original.rules", "\n".join(rules) + "\n")
+        planted = _file(tmp_path / "planted.rules", "\n".join(rules[::2]) + "\n")
+        assert main(["check", str(original), str(planted), "--samples", "100000", "--seed", "5"]) == 1
+        assert capsys.readouterr().out == (
+            "NOT equivalent (100000 samples (seed 5)); first differing packet: "
+            "(protocol=0, source=2100801065, sport=47781, destination=102331474, dport=23965)\n"
+        )
+
+    def test_sampled_domain_wider_than_int64_exits_2(self, capsys):
+        assert main(["check", str(WIDE), str(WIDE), "--samples", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: attribute a [0,99999999999999999999999] does not fit")
+        assert "Traceback" not in err
+
     def test_domain_mismatch_exits_2(self, tmp_path, capsys):
         other = tmp_path / "other.rules"
         other.write_text("1, any, any, any, any, any, accept\n")

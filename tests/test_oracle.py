@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwaudit import (
     Box,
@@ -16,7 +18,7 @@ from fwaudit import (
     find_shadowed,
     sample_equivalent,
 )
-from fwaudit.oracle import Outcome
+from fwaudit.oracle import _CODE_OUTCOME, Outcome, _sample_columns, _sample_outcomes
 from fwaudit.rules import Decision
 
 from conftest import SD, make_table1, rule
@@ -45,7 +47,7 @@ class TestEvaluate:
 
     def test_scalar_walk_agrees_with_dense_grid(self, table1):
         # two independent evaluation paths; they must never disagree
-        from fwaudit.oracle import _CODE_OUTCOME, _outcome_grid
+        from fwaudit.oracle import _outcome_grid
 
         grid = _outcome_grid(table1.domain, table1.rules)
         for q in [(s, d) for s in range(1, 101, 3) for d in range(1, 101, 3)]:
@@ -197,3 +199,94 @@ class TestSampleEquivalent:
     def test_rejects_zero_samples(self, table1):
         with pytest.raises(ValueError):
             sample_equivalent(table1, table1, 0, seed=1)
+
+    def test_sampling_needs_int64_bounds(self):
+        fits = DomainSpec.of(("s", -(2**63), 2**63 - 1))
+        r1 = Ruleset(fits, (rule(1, "accept", ((-(2**63), -1),)),))
+        r2 = Ruleset(fits, (rule(1, "accept", ((-(2**63), 2**63 - 1),)),))
+        res = sample_equivalent(r1, r2, 50, seed=2)
+        assert not res and res.counterexample[0] >= 0
+        below = Ruleset(DomainSpec.of(("s", 0, 9), ("low", -(2**63) - 1, 0)), ())
+        with pytest.raises(DomainError, match=r"attribute low \[-9223372036854775809,0\]"):
+            sample_equivalent(below, below, 10, seed=1)
+
+
+@st.composite
+def _domains(draw):
+    """1-3 attributes: small ranges with negative bounds, or 2^40-wide ones."""
+    attrs = []
+    for k in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            lo = draw(st.integers(-4, 2))
+            hi = lo + draw(st.integers(0, 5))
+        else:
+            lo, hi = -(2**40), 2**40
+        attrs.append((f"a{k}", lo, hi))
+    return DomainSpec.of(*attrs)
+
+
+def _edges(a):
+    """Values a box or a sample may sit on: both bounds and their neighbours."""
+    return sorted({v for v in (a.lo, a.lo + 1, 0, a.hi - 1, a.hi) if a.lo <= v <= a.hi})
+
+
+@st.composite
+def _rulesets(draw, domain):
+    """Up to 5 rules of 0-3 boxes each; boxes span full ranges or sit on edges."""
+    def interval(a):
+        if draw(st.booleans()):
+            return Interval(a.lo, a.hi)
+        lo, hi = sorted(draw(st.lists(st.sampled_from(_edges(a)), min_size=2, max_size=2)))
+        return Interval(lo, hi)
+
+    rules = []
+    for pos in range(1, draw(st.integers(0, 5)) + 1):
+        boxes = tuple(
+            Box(tuple(interval(a) for a in domain.attributes))
+            for _ in range(draw(st.integers(0, 3)))
+        )
+        rules.append(Rule(pos, boxes, draw(st.sampled_from(list(Decision)))))
+    return Ruleset(domain, tuple(rules))
+
+
+def _packets(columns):
+    return [tuple(int(v) for v in p) for p in zip(*columns)]
+
+
+class TestSampledOutcomesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_outcomes_equal_evaluate(self, data):
+        domain = data.draw(_domains())
+        ruleset = data.draw(_rulesets(domain))
+        n = data.draw(st.integers(1, 12))
+        # samples repeat on interval endpoints, where off-by-one bounds show
+        columns = [
+            np.array(data.draw(st.lists(st.sampled_from(_edges(a)), min_size=n, max_size=n)),
+                     dtype=np.int64)
+            for a in domain.attributes
+        ]
+        orders = {}
+        codes = _sample_outcomes(domain, ruleset.rules, columns, orders)
+        for packet, code in zip(_packets(columns), codes):
+            assert _CODE_OUTCOME[int(code)] is evaluate(ruleset, packet)
+        # each box sorts only the attribute where it covers the least share
+        widths = [a.hi - a.lo + 1 for a in domain.attributes]
+        assert set(orders) == {
+            min(range(domain.p), key=lambda j: box.intervals[j].size / widths[j])
+            for r in ruleset.rules
+            for box in r.condition
+        }
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_counterexample_is_first_disagreeing_sample(self, data):
+        domain = data.draw(_domains())
+        r1, r2 = data.draw(_rulesets(domain)), data.draw(_rulesets(domain))
+        samples = data.draw(st.one_of(st.just(1), st.integers(1, 60)))
+        seed = data.draw(st.integers(0, 2**16))
+        res = sample_equivalent(r1, r2, samples, seed)
+        packets = _packets(_sample_columns(domain, samples, seed))
+        differing = [p for p in packets if evaluate(r1, p) is not evaluate(r2, p)]
+        assert res.equivalent == (not differing)
+        assert res.counterexample == (differing[0] if differing else None)
