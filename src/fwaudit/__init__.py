@@ -12,7 +12,6 @@ from .audit import (
     detection,
     probe_redundancy,
     rewrite,
-    test_redundancy,
 )
 from .bench import BenchRecord, bench, bench_worst_case, records_to_csv
 from .errors import (
@@ -50,7 +49,6 @@ from .rulefile import (
     emit_report,
     input_digest,
     parse_ruleset,
-    report_from_json,
     serialize_ruleset,
 )
 from .rules import Decision, Rule, Ruleset, exclusion

@@ -220,10 +220,6 @@ def probe_redundancy(ruleset: Ruleset, i: int) -> bool:
     return _absorbed_by_later(rules, _Hulls.of(rules, ruleset.domain), i - 1)
 
 
-# deprecated alias, kept for one release: pytest collects names starting test_
-test_redundancy = probe_redundancy
-
-
 def _meets(a: Rule, b: Rule) -> bool:
     return any(box_intersects(x, y) for x in a.condition for y in b.condition)
 

@@ -160,11 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify two rule files classify every packet alike")
     p.add_argument("original")
     p.add_argument("transformed")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True,
-                      help="enumerate the whole packet space (the default)")
-    mode.add_argument("--samples", type=int, default=None,
-                      help="compare on N seeded random packets instead")
+    p.add_argument("--samples", type=int, default=None,
+                   help="compare on N seeded random packets, not the whole packet space")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--domain")
     p.set_defaults(func=_cmd_check)

@@ -22,6 +22,9 @@ Input rules carry one box each.  Serialized transformed rulesets emit one
 record per box; a multi-box rule shares its order value with a sub-index
 (3.1, 3.2, ...), and the parser re-assembles consecutive sub-indexed
 records into the original multi-box rule, so parse(serialize(r)) == r.
+The sub-records of one rule must agree on the decision and their boxes
+must be pairwise disjoint; the parser rejects a record that overlaps an
+earlier record of its rule.
 """
 
 from __future__ import annotations
@@ -34,27 +37,19 @@ from dataclasses import asdict, dataclass
 from ._version import __version__
 from .audit import AuditReport, AuditStats, RuleWarning, WarningKind
 from .errors import DomainError, ParseError, ValidationError
-from .intervals import AttributeDomain, Box, DomainSpec, Interval
+from .intervals import AttributeDomain, Box, DomainSpec, Interval, box_intersects
 from .rules import Decision, Rule, Ruleset
 
 PROTOCOL_NAMES = {"tcp": 6, "udp": 17, "icmp": 1}
 
 _ORDER_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")
 _RANGE_RE = re.compile(r"^\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]$")
-_QUAD_RE = re.compile(r"^(\d+)\.(\d+)\.(\d+)\.(\d+)$")
-_QUAD_RANGE_RE = re.compile(r"^(\d+)\.(\d+)\.(\d+)\.\[\s*(\d+)\s*,\s*(\d+)\s*\]$")
+# a.b.c.d, or a.b.c.[x,y] ranging over the last octet
+_QUAD_RE = re.compile(r"^(\d+)\.(\d+)\.(\d+)\.(?:(\d+)|\[\s*(\d+)\s*,\s*(\d+)\s*\])$")
 
 
 def input_digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _quad_base(parts: tuple[str, ...], line: int) -> int:
-    octets = [int(x) for x in parts]
-    for o in octets:
-        if o > 255:
-            raise ValidationError(f"line {line}: IPv4 octet {o} out of range")
-    return (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8)
 
 
 def _parse_value(token: str, attr: AttributeDomain, line: int) -> Interval:
@@ -68,19 +63,15 @@ def _parse_value(token: str, attr: AttributeDomain, line: int) -> Interval:
     if m:
         a, b = int(m.group(1)), int(m.group(2))
         return _checked(a, b, attr, line)
-    m = _QUAD_RANGE_RE.match(token)
-    if m:
-        base = _quad_base(m.groups()[:3], line)
-        a, b = int(m.group(4)), int(m.group(5))
-        if a > 255 or b > 255:
-            raise ValidationError(f"line {line}: IPv4 octet range [{a},{b}] out of range")
-        return _checked(base + a, base + b, attr, line)
     m = _QUAD_RE.match(token)
     if m:
-        v = _quad_base(m.groups()[:3], line) | int(m.group(4))
-        if int(m.group(4)) > 255:
-            raise ValidationError(f"line {line}: IPv4 octet {m.group(4)} out of range")
-        return _checked(v, v, attr, line)
+        a, b, c, last, lo, hi = m.groups()
+        octets = [int(x) for x in (a, b, c, last or lo, last or hi)]
+        for o in octets:
+            if o > 255:
+                raise ValidationError(f"line {line}: IPv4 octet {o} out of range")
+        base = (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8)
+        return _checked(base + octets[3], base + octets[4], attr, line)
     try:
         v = int(token)
     except ValueError:
@@ -119,13 +110,6 @@ def _parse_bounds(text: str, line: int | None) -> dict[str, tuple[int, int]]:
     return bounds
 
 
-def _parse_domain_header(body: str, line: int) -> DomainSpec:
-    bounds = _parse_bounds(body, line)
-    if not bounds:
-        raise ParseError("@domain header declares no attributes", line)
-    return DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
-
-
 def parse_domain_overrides(text: str) -> dict[str, tuple[int, int]]:
     """Parse a 'name=[lo,hi],name=[lo,hi]' bounds-override string (CLI --domain)."""
     return _parse_bounds(text, None)
@@ -152,27 +136,29 @@ def parse_ruleset(
 
     ``domain_overrides`` replaces the bounds of named attributes after the
     header (or default) domain is established; it never changes the
-    attribute layout.
+    attribute layout.  Errors name the first bad line.
     """
-    domain = None
-    records: list[tuple[int, int, Box, Decision, int]] = []  # major, minor, box, decision, line
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    domain = DomainSpec.five_tuple()
+    if lines and lines[0][1].startswith("@domain"):
+        lineno, header = lines.pop(0)
+        bounds = _parse_bounds(header[len("@domain") :], lineno)
+        if not bounds:
+            raise ParseError("@domain header declares no attributes", lineno)
+        domain = DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
+    domain = apply_domain_overrides(domain, domain_overrides)
+
+    rules: list[Rule] = []
+    last_key = (0, 0)  # below every valid order value
+    for lineno, line in lines:
         if line.startswith("@domain"):
-            if records:
-                raise ParseError("@domain header must precede all rules", lineno)
-            if domain is not None:
-                raise ParseError("duplicate @domain header", lineno)
-            header = _parse_domain_header(line[len("@domain") :], lineno)
-            domain = apply_domain_overrides(header, domain_overrides)
-            continue
-        if domain is None:
-            domain = apply_domain_overrides(DomainSpec.five_tuple(), domain_overrides)
-        fields = [f.strip() for f in line.split(",")]
+            raise ParseError("@domain header must be the first non-comment line", lineno)
         # bracketed ranges contain commas; re-join split range halves
-        fields = _rejoin_ranges(fields, lineno)
+        fields = _rejoin_ranges([f.strip() for f in line.split(",")], lineno)
         if len(fields) != domain.p + 2:
             raise ParseError(
                 f"expected {domain.p + 2} fields (order, {domain.p} conditions, decision), got {len(fields)}",
@@ -181,10 +167,12 @@ def parse_ruleset(
         m = _ORDER_RE.match(fields[0])
         if not m:
             raise ParseError(f"bad order value {fields[0]!r}", lineno)
-        major = int(m.group(1))
-        minor = int(m.group(2)) if m.group(2) else 0
+        major, minor = int(m.group(1)), int(m.group(2) or 0)
         if major < 1:
             raise ValidationError(f"line {lineno}: order must be >= 1")
+        if (major, minor) <= last_key:
+            raise ValidationError(f"line {lineno}: order values must be strictly increasing")
+        last_key = (major, minor)
         try:
             decision = Decision(fields[-1].lower())
         except ValueError:
@@ -195,25 +183,16 @@ def parse_ruleset(
                 for tok, attr in zip(fields[1:-1], domain.attributes)
             )
         )
-        records.append((major, minor, box, decision, lineno))
-
-    if domain is None:
-        domain = apply_domain_overrides(DomainSpec.five_tuple(), domain_overrides)
-
-    rules: list[Rule] = []
-    last_key: tuple[int, int] | None = None
-    for major, minor, box, decision, lineno in records:
-        key = (major, minor)
-        if last_key is not None and key <= last_key:
-            raise ValidationError(f"line {lineno}: order values must be strictly increasing")
-        last_key = key
         if rules and rules[-1].position == major:
+            # a sub-record: one more box of the rule before it
             prev = rules[-1]
-            if minor == 0:
-                raise ValidationError(f"line {lineno}: duplicate order value {major}")
             if prev.decision is not decision:
                 raise ValidationError(
                     f"line {lineno}: records of rule {major} disagree on the decision"
+                )
+            if any(box_intersects(box, b) for b in prev.condition):
+                raise ValidationError(
+                    f"line {lineno}: record overlaps an earlier record of rule {major}"
                 )
             rules[-1] = Rule(major, prev.condition + (box,), decision)
         else:
@@ -359,9 +338,6 @@ class ReportDocument:
         except (KeyError, TypeError, ValueError) as e:
             # json.JSONDecodeError is a ValueError
             raise ParseError(f"bad report JSON: {e!r}") from None
-
-
-report_from_json = ReportDocument.from_json
 
 
 def emit_report(report: AuditReport, format: str = "text", *, digest: str | None = None) -> str:

@@ -162,7 +162,7 @@ class TestCheck:
         assert main(["check", str(TABLE1), str(out)]) == 1
 
     def test_file_vs_itself(self, capsys):
-        assert main(["check", str(TABLE1), str(TABLE1), "--exhaustive"]) == 0
+        assert main(["check", str(TABLE1), str(TABLE1)]) == 0
         assert "equivalent" in capsys.readouterr().out
 
     def test_deleted_rule_yields_counterexample(self, tmp_path, capsys):
@@ -309,6 +309,9 @@ BAD_INPUTS = {
     "duplicate-header-attribute": lambda tmp: [
         "audit", _file(tmp / "dup.rules", "@domain s=[0,9], s=[0,9]\n")],
     "inverted-domain-flag": lambda tmp: ["audit", TABLE1, "--domain", "source=[3,1]"],
+    "overlapping-sub-records": lambda tmp: ["audit", _file(
+        tmp / "overlap.rules",
+        "@domain a=[0,9], b=[0,9]\n1.1, [0,5], [0,5], accept\n1.2, [3,8], [3,8], accept\n")],
     "crowded-gen": lambda tmp: [
         "gen", "--profile", "beginner", "--count", "50",
         "--domain", "protocol=[0,0],source=[0,1],sport=[0,0],destination=[0,1],dport=[0,0]"],
@@ -323,9 +326,22 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", ["10.0.0.256", "10.256.0.1", "10.0.0.[1,256]", "10.0.0.[30,1]"])
+def test_bad_ipv4_token_exits_2_naming_its_line(token, tmp_path, capsys):
+    rules = f"1, any, any, any, any, any, deny\n2, any, {token}, any, any, any, accept\n"
+    assert main(["audit", str(_file(tmp_path / "bad.rules", rules))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2")
+    assert "Traceback" not in err
+
+
 class TestUsage:
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2
+
+    def test_removed_exhaustive_flag_exits_2(self, capsys):
+        # exhaustive is what check does without --samples
+        assert main(["check", str(TABLE1), str(TABLE1), "--exhaustive"]) == 2
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

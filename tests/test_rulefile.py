@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fwaudit import (
     DomainError,
     DomainSpec,
+    FwAuditError,
     Interval,
     ParseError,
     Ruleset,
@@ -16,7 +17,6 @@ from fwaudit import (
     emit_report,
     equivalent,
     parse_ruleset,
-    report_from_json,
     serialize_ruleset,
 )
 from fwaudit.rulefile import ReportDocument, input_digest, parse_domain_overrides
@@ -77,6 +77,28 @@ class TestParse:
             parse_ruleset("1, any, any, any, any, any, accept\n2, any, what, any, any, any, deny\n")
         assert err.value.line == 2
         assert "line 2" in str(err.value)
+
+    def test_first_bad_line_is_reported(self):
+        # the order error on line 2 comes before the bad token on line 5
+        text = "".join(
+            f"{order}, any, {token}, any, any, any, accept\n"
+            for order, token in [(1, "any"), (1, "any"), (2, "any"), (3, "any"), (4, "what")]
+        )
+        with pytest.raises(FwAuditError, match="^line 2: "):
+            parse_ruleset(text)
+
+    def test_overlapping_sub_records_rejected(self):
+        # sub-records re-assemble one rule, whose boxes must be disjoint
+        text = (
+            "@domain a=[0,9], b=[0,9]\n"
+            "1.1, [0,5], [0,5], accept\n"
+            "1.2, [3,8], [3,8], accept\n"
+            "2, any, any, deny\n"
+        )
+        with pytest.raises(ValidationError, match="^line 3: "):
+            parse_ruleset(text)
+        touching = text.replace("[3,8], [3,8]", "[6,8], [3,8]")
+        assert len(parse_ruleset(touching).rules[0].condition) == 2
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
@@ -196,7 +218,7 @@ class TestReports:
         report, text = self._report()
         digest = input_digest(text)
         emitted = emit_report(report, "json", digest=digest)
-        assert report_from_json(emitted) == ReportDocument.from_report(report, digest)
+        assert ReportDocument.from_json(emitted) == ReportDocument.from_report(report, digest)
 
     @pytest.mark.parametrize("mutate", [
         lambda doc: {"version": 1},
@@ -212,7 +234,7 @@ class TestReports:
         report, text = self._report()
         doc = json.loads(emit_report(report, "json", digest=input_digest(text)))
         with pytest.raises(ParseError):
-            report_from_json(json.dumps(mutate(doc)))
+            ReportDocument.from_json(json.dumps(mutate(doc)))
 
     def test_json_shape(self):
         report, text = self._report()
