@@ -31,6 +31,7 @@ from .intervals import (
     box_intersects,
     boxes_pairwise_disjoint,
     rows_touching,
+    touching_pairs,
 )
 from .rules import Decision, Rule, Ruleset, exclusion
 
@@ -106,12 +107,19 @@ class _Hulls:
     ``accept`` marks the accept rules and ``alive`` the rules whose
     condition is not empty; the bounds of a dead row are stale and never
     touch.  The dtype is int64 when the domain fits it, else ``object``.
+
+    ``nbr[ptr[i]:ptr[i + 1]]`` lists, ascending, the rows whose input hull
+    touches row i's.  Exclusion only shrinks a condition, so every box a
+    scan queries for row i lies inside row i's input hull and only these
+    rows can touch it: copies share this index.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     accept: np.ndarray
     alive: np.ndarray
+    nbr: np.ndarray
+    ptr: list[int]
 
     @classmethod
     def of(cls, rules: Sequence[Rule], domain: DomainSpec) -> _Hulls:
@@ -122,7 +130,12 @@ class _Hulls:
         full = domain.full_box()
         lo, hi = box_bounds([h or full for h in hulls], domain.p, dtype)
         accept = np.array([r.decision == Decision.ACCEPT for r in rules], dtype=bool)
-        return cls(lo, hi, accept, np.array([h is not None for h in hulls], dtype=bool))
+        alive = np.array([h is not None for h in hulls], dtype=bool)
+        live = np.flatnonzero(alive)
+        ptr, nbr = touching_pairs(lo[live], hi[live])
+        # back to row numbers; a dead row's list is empty
+        ptr = ptr[np.searchsorted(live, np.arange(len(rules) + 1))]
+        return cls(lo, hi, accept, alive, live[nbr], ptr.tolist())
 
     def copy(self) -> _Hulls:
         return replace(self, lo=self.lo.copy(), hi=self.hi.copy(), alive=self.alive.copy())
@@ -138,22 +151,30 @@ class _Hulls:
         lo, hi = box_bounds([box], box.p, self.lo.dtype)
         return lo[0], hi[0]
 
-    def same_decision(self, i: int) -> np.ndarray:
-        return self.accept == self.accept[i]
-
     def touching(
-        self, lo: np.ndarray, hi: np.ndarray, start: int, stop: int, mask: np.ndarray | None = None
+        self, i: int, later: bool, box: tuple[np.ndarray, np.ndarray] | None = None,
+        same_decision: bool | None = None, mask: np.ndarray | None = None,
     ) -> list[int]:
-        """Indices in [start, stop), ascending, of the live rows that ``mask``
-        keeps and whose hull shares a packet with the box ``lo``/``hi``.
+        """Rows after (``later``) or before row i, ascending, that are live,
+        have the same (True) or a differing (False) decision when asked,
+        are kept by ``mask``, and whose hull shares a packet with ``box``,
+        row i's hull by default.
 
         Excluding a rule whose hull does not touch is the identity, so a
         scan may visit only these rows.
         """
-        hit = self.alive[start:stop] & rows_touching(self.lo[start:stop], self.hi[start:stop], lo, hi)
+        start, stop = self.ptr[i], self.ptr[i + 1]
+        if start == stop:
+            return []
+        rows = self.nbr[start:stop]
+        rows = rows[rows > i] if later else rows[rows < i]
+        lo, hi = box if box is not None else (self.lo[i], self.hi[i])
+        hit = self.alive[rows] & rows_touching(self.lo[rows], self.hi[rows], lo, hi)
+        if same_decision is not None:
+            hit &= (self.accept[rows] == self.accept[i]) == same_decision
         if mask is not None:
-            hit &= mask[start:stop]
-        return (np.flatnonzero(hit) + start).tolist()
+            hit &= mask[rows]
+        return rows[hit].tolist()
 
 
 def _exclude_forward(
@@ -170,8 +191,7 @@ def _exclude_forward(
     ri = rules[i]
     if ri.is_empty:
         return
-    mask = None if same_decision is None else hulls.same_decision(i) == same_decision
-    for j in hulls.touching(hulls.lo[i], hulls.hi[i], i + 1, len(rules), mask):
+    for j in hulls.touching(i, True, same_decision=same_decision):
         rj = rules[j] = exclusion(rules[j], ri)
         hulls.update(j, rj)
         if kinds[j] is None and rj.is_empty:
@@ -197,12 +217,11 @@ def detection(ruleset: Ruleset) -> AuditReport:
 def _absorbed_by_later(rules: list[Rule], hulls: _Hulls, i: int) -> bool:
     """Is rule i's condition fully covered by later rules with its decision?"""
     temp = rules[i]
-    same = hulls.same_decision(i)
     if temp.is_empty:
-        return bool(same[i + 1 :].any())
+        return bool((hulls.accept[i + 1 :] == hulls.accept[i]).any())
     # the hull of temp only shrinks, so rows that miss its starting hull
     # can never absorb any of it
-    for j in hulls.touching(hulls.lo[i], hulls.hi[i], i + 1, len(rules), same):
+    for j in hulls.touching(i, True, same_decision=True):
         temp = exclusion(temp, rules[j])
         if temp.is_empty:
             return True
@@ -227,7 +246,7 @@ def _meets(a: Rule, b: Rule) -> bool:
 def _shadowed_in(original: tuple[Rule, ...], hulls: _Hulls, j: int) -> bool:
     """Is original rule j covered by the rules before it, so never a first match?"""
     rest = original[j]
-    for k in hulls.touching(hulls.lo[j], hulls.hi[j], 0, j):
+    for k in hulls.touching(j, False):
         rest = exclusion(rest, original[k])
         if rest.is_empty:
             break
@@ -252,8 +271,7 @@ def _redundant_in(
     own, not a reason to keep rule i.
     """
     rest = effective
-    lo, hi = hulls.bounds(bounding_box(effective.condition))
-    for j in hulls.touching(lo, hi, i + 1, len(original)):
+    for j in hulls.touching(i, True, hulls.bounds(bounding_box(effective.condition))):
         rj = original[j]
         if not _meets(rest, rj):
             continue
@@ -306,7 +324,7 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
             continue
         effective = rules[i]
         overlapped = original_hulls.touching(
-            hulls.lo[i], hulls.hi[i], 0, i, emptied & hulls.same_decision(i)
+            i, False, (hulls.lo[i], hulls.hi[i]), same_decision=True, mask=emptied
         )
         for k in overlapped:
             effective = exclusion(effective, original[k])

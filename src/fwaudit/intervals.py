@@ -233,10 +233,52 @@ def rows_touching(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np
     return ((lo <= box_hi) & (box_lo <= hi)).all(axis=1)
 
 
+_PAIR_BLOCK = 1 << 16  # candidate pairs tested per array operation
+
+
+def touching_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of rows of the (m, p) bound arrays whose boxes share a packet.
+
+    Returns symmetric CSR lists: row i's neighbours, ascending, are
+    ``nbr[ptr[i]:ptr[i + 1]]``.  A sort-and-sweep on the attribute where
+    the fewest pairs overlap gives each row the rows sorted after it whose
+    ``lo`` lies in its range there, so every pair is a candidate once;
+    the candidates are then tested on all p attributes, a block at a time.
+    """
+    m = len(lo)
+    best = None
+    for k in range(lo.shape[1]):
+        order = np.argsort(lo[:, k], kind="stable")
+        stop = np.searchsorted(lo[order, k], hi[order, k], side="right")
+        count = int(stop.sum()) - m * (m + 1) // 2
+        if best is None or count < best[0]:
+            best = count, order, stop
+    _, order, stop = best
+    counts = stop - np.arange(1, m + 1)
+    ends = np.cumsum(counts)
+    keys = []
+    s = 0
+    while s < m:
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - counts[s] + _PAIR_BLOCK, side="right")))
+        block = counts[s:e]
+        first = np.repeat(np.arange(s, e), block)
+        second = np.arange(len(first)) - np.repeat(np.cumsum(block) - block, block) + first + 1
+        a, b = order[first], order[second]
+        hit = rows_touching(lo[a], hi[a], lo[b], hi[b])
+        a, b = a[hit], b[hit]
+        keys += [a * m + b, b * m + a]
+        s = e
+    key = np.concatenate(keys) if keys else np.zeros(0, np.int64)
+    del keys
+    key.sort(kind="stable")
+    ptr = np.searchsorted(key, np.arange(m + 1) * m)
+    np.remainder(key, max(m, 1), out=key)
+    return ptr, key
+
+
 def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:
     """True iff no two boxes in the sequence share a packet.
 
-    Each box is tested against all later boxes in one array operation.
     Raises ArityError when the boxes disagree on their attribute count.
     """
     if len(boxes) < 2:
@@ -249,7 +291,4 @@ def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:
         min((iv.lo for b in boxes for iv in b.intervals), default=0),
         max((iv.hi for b in boxes for iv in b.intervals), default=0),
     )
-    lo, hi = box_bounds(boxes, p, dtype)
-    return not any(
-        rows_touching(lo[i + 1 :], hi[i + 1 :], lo[i], hi[i]).any() for i in range(len(boxes) - 1)
-    )
+    return not len(touching_pairs(*box_bounds(boxes, p, dtype))[1])

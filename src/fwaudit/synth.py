@@ -13,7 +13,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .intervals import AttributeDomain, Box, DomainSpec, Interval, box_intersects
+import numpy as np
+
+from .intervals import (
+    AttributeDomain, Box, DomainSpec, Interval, bounds_dtype, box_bounds, rows_touching
+)
 from .rules import Decision, Rule, Ruleset
 
 _FRESH_TRIES = 10_000
@@ -92,6 +96,9 @@ def generate(prof: GeneratorProfile, n: int, domain: DomainSpec) -> Ruleset:
     rng = random.Random(prof.seed)
     boxes: list[Box] = []
     rules: list[Rule] = []
+    dtype = bounds_dtype(min(a.lo for a in domain.attributes), max(a.hi for a in domain.attributes))
+    lo = np.empty((n, domain.p), dtype=dtype)
+    hi = np.empty((n, domain.p), dtype=dtype)
     for k in range(1, n + 1):
         if boxes and rng.random() < prof.overlap_probability:
             parent = boxes[rng.randrange(len(boxes))]
@@ -102,17 +109,19 @@ def generate(prof: GeneratorProfile, n: int, domain: DomainSpec) -> Ruleset:
                 )
             )
         else:
-            box = _fresh_disjoint_box(rng, domain, boxes)
+            box = _fresh_disjoint_box(rng, domain, lo[: k - 1], hi[: k - 1])
         decision = Decision.ACCEPT if rng.random() < prof.decision_bias else Decision.DENY
         rules.append(Rule(k, (box,), decision))
         boxes.append(box)
+        lo[k - 1 : k], hi[k - 1 : k] = box_bounds([box], domain.p, dtype)
     return Ruleset(domain, tuple(rules))
 
 
-def _fresh_disjoint_box(rng: random.Random, domain: DomainSpec, existing: list[Box]) -> Box:
+def _fresh_disjoint_box(rng: random.Random, domain: DomainSpec, lo: np.ndarray, hi: np.ndarray) -> Box:
+    """A random box that touches none of the boxes bounded by the rows of lo/hi."""
     for _ in range(_FRESH_TRIES):
         box = Box(tuple(_fresh_interval(rng, a) for a in domain.attributes))
-        if not any(box_intersects(box, other) for other in existing):
+        if not rows_touching(lo, hi, *box_bounds([box], domain.p, lo.dtype)).any():
             return box
     raise ValueError(
         f"no disjoint box found in {_FRESH_TRIES} tries; the domain is too crowded"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from fwaudit import (
     probe_redundancy,
     rewrite,
 )
-from fwaudit.audit import RewriteMode, RuleWarning, WarningKind
+from fwaudit.audit import RewriteMode, RuleWarning, WarningKind, _Hulls
 from fwaudit.intervals import boxes_pairwise_disjoint
 from fwaudit.rules import Decision
 from fwaudit.synth import worst_case_family
@@ -243,6 +244,21 @@ def _random_ruleset(seed, dom, max_rules=10):
     return Ruleset(dom, tuple(rules))
 
 
+def _brute_force_labels(rs):
+    # shadowed: never a first match; redundant: removing the rule keeps
+    # every outcome once shadowed rules of the other decision are set aside
+    shadowed = find_shadowed(rs)
+    redundant = set()
+    for r in rs.rules:
+        if r.position in shadowed:
+            continue
+        kept = [x for x in rs.rules if x.position not in shadowed or x.decision == r.decision]
+        without = [x for x in kept if x is not r]
+        if equivalent(Ruleset(rs.domain, tuple(kept)), Ruleset(rs.domain, tuple(without))):
+            redundant.add(r.position)
+    return {(q, "shadowing") for q in shadowed} | {(q, "redundancy") for q in redundant}
+
+
 class TestAuditProperties:
     """Brute-force spot checks of the transformation guarantees."""
 
@@ -309,23 +325,32 @@ class TestAuditProperties:
     def test_complete_detection_labels_match_brute_force(self):
         # a dense 8x8 grid holds the cases the old labels got wrong: kept
         # shadowed rules (seeds 81, 95), rules redundant only one at a time
-        # (498, 814) and the set-aside (29, 141).  Shadowed means never a
-        # first match; redundant means removing the rule keeps every
-        # outcome once shadowed rules of the other decision are set aside
+        # (498, 814) and the set-aside (29, 141)
         dom = DomainSpec.of(("s", 0, 7), ("d", 0, 7))
         for seed in range(1000):
             rs = _random_ruleset(seed, dom)
-            shadowed = find_shadowed(rs)
-            redundant = set()
-            for r in rs.rules:
-                if r.position in shadowed:
-                    continue
-                kept = [x for x in rs.rules if x.position not in shadowed or x.decision == r.decision]
-                without = [x for x in kept if x is not r]
-                if equivalent(Ruleset(dom, tuple(kept)), Ruleset(dom, tuple(without))):
-                    redundant.add(r.position)
-            expected = {(q, "shadowing") for q in shadowed} | {(q, "redundancy") for q in redundant}
-            assert warn_set(complete_detection(rs)) == expected, f"seed {seed}"
+            assert warn_set(complete_detection(rs)) == _brute_force_labels(rs), f"seed {seed}"
+
+    def test_empty_rules_in_the_middle(self):
+        # dead rows get no neighbours in the touching-pair index, and no
+        # live row lists one; labels still equal the brute-force ones
+        dom = DomainSpec.of(("s", 0, 7), ("d", 0, 7))
+        for seed in range(300):
+            rs = _random_ruleset(seed, dom, max_rules=12)
+            rng = random.Random(seed)
+            rules = [
+                replace(r, condition=()) if 0 < k < len(rs.rules) - 1 and rng.random() < 0.3 else r
+                for k, r in enumerate(rs.rules)
+            ]
+            rs = Ruleset(dom, tuple(rules))
+            hulls = _Hulls.of(rules, dom)
+            dead = {k for k, r in enumerate(rules) if r.is_empty}
+            assert all(hulls.ptr[k] == hulls.ptr[k + 1] for k in dead), f"seed {seed}"
+            assert not dead & set(hulls.nbr.tolist()), f"seed {seed}"
+            assert warn_set(complete_detection(rs)) == _brute_force_labels(rs), f"seed {seed}"
+            report = detection(rs)
+            assert {w.position for w in report.warnings} == find_shadowed(rs), f"seed {seed}"
+            assert equivalent(rs, report.transformed), f"seed {seed}"
 
     def test_output_free_of_findings(self):
         for seed in range(40):

@@ -14,7 +14,7 @@ from fwaudit import (
     interval_intersect,
     interval_subtract,
 )
-from fwaudit.intervals import bounding_box
+from fwaudit.intervals import bounding_box, bounds_dtype, box_bounds, touching_pairs
 
 from conftest import box
 
@@ -176,6 +176,19 @@ class TestHelpers:
         boxes = data.draw(st.lists(edge_boxes_st(p, values), max_size=8))
         expected = not any(box_intersects(a, b) for a, b in itertools.combinations(boxes, 2))
         assert boxes_pairwise_disjoint(boxes) == expected
+
+    @pytest.mark.parametrize("p, values", [(1, EDGE_VALUES), (3, EDGE_VALUES), (2, WIDE_VALUES)])
+    @given(data=st.data())
+    def test_touching_pairs_matches_all_pairs(self, p, values, data):
+        # few distinct endpoints: equal lo values, single-point contact and
+        # full-range intervals are common; WIDE_VALUES forces object bounds
+        boxes = data.draw(st.lists(edge_boxes_st(p, values), max_size=10))
+        dtype = bounds_dtype(min(values), max(values))
+        ptr, nbr = touching_pairs(*box_bounds(boxes, p, dtype))
+        assert len(ptr) == len(boxes) + 1
+        for i, a in enumerate(boxes):
+            expected = [j for j, b in enumerate(boxes) if j != i and box_intersects(a, b)]
+            assert nbr[ptr[i] : ptr[i + 1]].tolist() == expected
 
     @given(data=st.data())
     def test_pairwise_disjoint_mixed_arity_raises(self, data):

@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -93,6 +94,22 @@ class TestGenerate:
             )
             assert find_shadowed(report.transformed) == set()
             assert find_redundant(report.transformed) == set()
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("beginner", "fbdb1fb50c44c5f65068be696605642ccc48a5fb39b84b8af614ac3c9498b960"),
+            ("intermediate", "a1373c08ea67a0f20718c696bfc5f0b0fe8de4deb69a9a4e25e320f7af09687f"),
+        ],
+    )
+    def test_domain_wider_than_int64_draws_pinned(self, name, digest):
+        # 41 x 41 values beyond int64 on both sides: the fresh-box test runs
+        # on exact object bounds and rejects about a dozen draws at beginner;
+        # the digests were recorded with the box-by-box rejection test
+        wide = DomainSpec.of(("a", 2**64, 2**64 + 40), ("b", -(2**64) - 40, -(2**64)))
+        rs = generate(profile(name, seed=4), 30, wide)
+        assert hashlib.sha256(serialize_ruleset(rs).encode()).hexdigest() == digest
+        assert parse_ruleset(serialize_ruleset(rs)) == rs
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
