@@ -23,9 +23,7 @@ import numpy as np
 
 from .errors import DisjointnessError
 from .intervals import (
-    Box,
     DomainSpec,
-    bounding_box,
     bounds_dtype,
     box_bounds,
     box_intersects,
@@ -100,13 +98,20 @@ def _empty_input_labels(rules: list[Rule]) -> list[WarningKind | None]:
     return [WarningKind.SHADOWING if r.is_empty else None for r in rules]
 
 
+def _hull(rule: Rule, p: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of the smallest box that holds the condition
+    of a non-empty rule: the column-wise min and max of its box bounds."""
+    lo, hi = box_bounds(rule.condition, p, dtype)
+    return lo.min(axis=0), hi.max(axis=0)
+
+
 @dataclass(slots=True)
 class _Hulls:
     """Condition hulls of a rule list as (n, p) lower/upper bound arrays.
 
     ``accept`` marks the accept rules and ``alive`` the rules whose
-    condition is not empty; the bounds of a dead row are stale and never
-    touch.  The dtype is int64 when the domain fits it, else ``object``.
+    condition is not empty; the bounds of a dead row are never read.  The
+    dtype is int64 when the domain fits it, else ``object``.
 
     ``nbr[ptr[i]:ptr[i + 1]]`` lists, ascending, the rows whose input hull
     touches row i's.  Exclusion only shrinks a condition, so every box a
@@ -126,12 +131,13 @@ class _Hulls:
         dtype = bounds_dtype(
             min(a.lo for a in domain.attributes), max(a.hi for a in domain.attributes)
         )
-        hulls = [bounding_box(r.condition) for r in rules]
-        full = domain.full_box()
-        lo, hi = box_bounds([h or full for h in hulls], domain.p, dtype)
+        lo = np.zeros((len(rules), domain.p), dtype)
+        hi = np.zeros_like(lo)
         accept = np.array([r.decision == Decision.ACCEPT for r in rules], dtype=bool)
-        alive = np.array([h is not None for h in hulls], dtype=bool)
+        alive = np.array([not r.is_empty for r in rules], dtype=bool)
         live = np.flatnonzero(alive)
+        for i in live:
+            lo[i], hi[i] = _hull(rules[i], domain.p, dtype)
         ptr, nbr = touching_pairs(lo[live], hi[live])
         # back to row numbers; a dead row's list is empty
         ptr = ptr[np.searchsorted(live, np.arange(len(rules) + 1))]
@@ -141,15 +147,9 @@ class _Hulls:
         return replace(self, lo=self.lo.copy(), hi=self.hi.copy(), alive=self.alive.copy())
 
     def update(self, j: int, rule: Rule) -> None:
-        hull = bounding_box(rule.condition)
-        self.alive[j] = hull is not None
-        if hull is not None:
-            self.lo[j] = [iv.lo for iv in hull.intervals]
-            self.hi[j] = [iv.hi for iv in hull.intervals]
-
-    def bounds(self, box: Box) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = box_bounds([box], box.p, self.lo.dtype)
-        return lo[0], hi[0]
+        self.alive[j] = not rule.is_empty
+        if not rule.is_empty:
+            self.lo[j], self.hi[j] = _hull(rule, self.lo.shape[1], self.lo.dtype)
 
     def touching(
         self, i: int, later: bool, box: tuple[np.ndarray, np.ndarray] | None = None,
@@ -271,15 +271,13 @@ def _redundant_in(
     own, not a reason to keep rule i.
     """
     rest = effective
-    for j in hulls.touching(i, True, hulls.bounds(bounding_box(effective.condition))):
+    for j in hulls.touching(i, True, _hull(effective, hulls.lo.shape[1], hulls.lo.dtype)):
         rj = original[j]
-        if not _meets(rest, rj):
-            continue
         if rj.decision == rest.decision:
             rest = exclusion(rest, rj)
             if rest.is_empty:
                 return True
-        elif not is_shadowed(j):
+        elif _meets(rest, rj) and not is_shadowed(j):
             return False
     return False
 

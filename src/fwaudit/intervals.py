@@ -194,21 +194,8 @@ def box_subtract(b: Box, a: Box) -> list[Box]:
         suffix = b.intervals[k + 1 :]
         for piece in interval_subtract(b_k, a_k):
             out.append(Box(tuple(prefix) + (piece,) + suffix))
-        common = interval_intersect(b_k, a_k)
-        if common is None:  # unreachable after the intersects guard
-            break
-        prefix.append(common)
+        prefix.append(interval_intersect(b_k, a_k))
     return out
-
-
-def bounding_box(boxes: tuple[Box, ...] | list[Box]) -> Box | None:
-    """Tightest single box containing every given box; None for no boxes."""
-    if not boxes:
-        return None
-    p = boxes[0].p
-    los = [min(b.intervals[k].lo for b in boxes) for k in range(p)]
-    his = [max(b.intervals[k].hi for b in boxes) for k in range(p)]
-    return Box(tuple(Interval(lo, hi) for lo, hi in zip(los, his)))
 
 
 _INT64 = np.iinfo(np.int64)

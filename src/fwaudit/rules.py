@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import ArityError
-from .intervals import Box, DomainSpec, bounding_box, box_intersects, box_subtract
+from .intervals import Box, DomainSpec, box_subtract
 
 
 class Decision(str, Enum):
@@ -80,9 +80,6 @@ def exclusion(b: Rule, a: Rule) -> Rule:
     for abox in a.condition:
         if not working:
             break
-        hull = bounding_box(working)
-        if not box_intersects(hull, abox):  # also validates arity
-            continue
         arity = abox.p
         refined: list[Box] = []
         for wbox in working:

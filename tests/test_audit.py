@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fwaudit import (
@@ -16,7 +17,7 @@ from fwaudit import (
     probe_redundancy,
     rewrite,
 )
-from fwaudit.audit import RewriteMode, RuleWarning, WarningKind, _Hulls
+from fwaudit.audit import RewriteMode, RuleWarning, WarningKind, _exclude_forward, _hull, _Hulls
 from fwaudit.intervals import boxes_pairwise_disjoint
 from fwaudit.rules import Decision
 from fwaudit.synth import worst_case_family
@@ -198,6 +199,36 @@ class TestCompleteDetection:
         report = complete_detection(rs)
         assert report.transformed == rs
         assert report.warnings == ()
+
+
+class TestHulls:
+    def test_hull_is_min_max_of_boxes(self):
+        lo, hi = _hull(rule(1, "accept", ((1, 2), (5, 9)), ((4, 8), (0, 3))), 2, np.int64)
+        assert lo.tolist() == [1, 0] and hi.tolist() == [8, 9]
+        # beyond int64 the bounds are Python integers and stay exact
+        big = 2**64
+        wide = rule(1, "accept", ((-big, 2), (5, big + 9)), ((4, big), (0, 3)))
+        lo, hi = _hull(wide, 2, object)
+        assert lo.dtype == object
+        assert lo.tolist() == [-big, 0] and hi.tolist() == [big, big + 9]
+
+    @pytest.mark.parametrize("shift", [0, 2**64], ids=["int64", "object"])
+    def test_row_follows_a_split(self, shift):
+        def shifted(position, decision, *boxes):
+            moved = (tuple((lo + shift, hi + shift) for lo, hi in b) for b in boxes)
+            return rule(position, decision, *moved)
+
+        dom = DomainSpec.of(("s", 1 + shift, 100 + shift), ("d", 1 + shift, 100 + shift))
+        rules = [
+            shifted(1, "deny", ((25, 40), (1, 100))),
+            shifted(2, "accept", ((1, 10), (1, 10)), ((20, 30), (20, 30))),
+        ]
+        hulls = _Hulls.of(rules, dom)
+        _exclude_forward(rules, hulls, [None, None], 0, None)
+        assert rules[1] == shifted(2, "accept", ((1, 10), (1, 10)), ((20, 24), (20, 30)))
+        boxes = rules[1].condition
+        assert hulls.lo[1].tolist() == [min(b.intervals[k].lo for b in boxes) for k in range(2)]
+        assert hulls.hi[1].tolist() == [max(b.intervals[k].hi for b in boxes) for k in range(2)]
 
 
 class TestRewrite:

@@ -30,6 +30,10 @@ class TestExclusionExamples:
         a = rule(3, "accept", ((40, 60), (20, 24)), ((40, 60), (36, 45)))
         got = exclusion(b, a)
         assert got.condition == (box((31, 39), (20, 24)), box((31, 39), (36, 40)))
+        # the first box lies in the gap between b's boxes, inside their
+        # hull; the second misses the hull: b comes back as it was
+        a = rule(3, "deny", ((31, 45), (26, 34)), ((80, 90), (80, 90)))
+        assert exclusion(b, a).condition == b.condition
 
 
 class TestRuleInvariants:
@@ -71,6 +75,10 @@ class TestExclusionContract:
     def test_arity_mismatch(self):
         b = rule(2, "accept", ((1, 50), (1, 50)))
         a = Rule(1, (Box.from_pairs((1, 60)),), Decision.DENY)
+        with pytest.raises(ArityError):
+            exclusion(b, a)
+        # a first box that misses b must not stop the check of the next
+        a = Rule(1, (Box.from_pairs((80, 90), (80, 90)), Box.from_pairs((1, 60))), Decision.DENY)
         with pytest.raises(ArityError):
             exclusion(b, a)
 

@@ -14,7 +14,7 @@ from fwaudit import (
     interval_intersect,
     interval_subtract,
 )
-from fwaudit.intervals import bounding_box, bounds_dtype, box_bounds, touching_pairs
+from fwaudit.intervals import bounds_dtype, box_bounds, touching_pairs
 
 from conftest import box
 
@@ -196,11 +196,6 @@ class TestHelpers:
         boxes.insert(data.draw(st.integers(0, len(boxes))), data.draw(edge_boxes_st(3)))
         with pytest.raises(ArityError):
             boxes_pairwise_disjoint(boxes)
-
-    def test_bounding_box(self):
-        assert bounding_box([]) is None
-        hull = bounding_box([box((1, 2), (5, 9)), box((4, 8), (0, 3))])
-        assert hull == box((1, 8), (0, 9))
 
 
 class TestDomainSpec:
