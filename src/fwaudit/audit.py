@@ -28,6 +28,7 @@ from .intervals import (
     box_bounds,
     box_intersects,
     boxes_pairwise_disjoint,
+    coalesce,
     rows_touching,
     touching_pairs,
 )
@@ -62,12 +63,12 @@ class AuditStats:
 class AuditReport:
     """Outcome of one audit run.
 
-    ``transformed`` holds the surviving rules (emptied rules removed);
-    ``warnings`` lists the rules that are shadowed or redundant in the
-    original ruleset, sorted by position, and ``algorithm`` names the
-    audit that found them.  A labelled rule is usually absent from
-    ``transformed``, but ``complete`` keeps one that carries packets of
-    a rule it emptied before.
+    ``transformed`` holds the surviving rules, the boxes of each rule an
+    exclusion changed coalesced; ``warnings`` lists the rules shadowed or
+    redundant in the original ruleset, sorted by position, and
+    ``algorithm`` names the audit that found them.  A labelled rule is
+    usually absent from ``transformed``, but ``complete`` keeps one that
+    carries packets of a rule it emptied before.
     """
 
     algorithm: str
@@ -186,13 +187,17 @@ def _exclude_forward(
 ) -> None:
     """Exclude rule i from later rules: all (None), same-decision (True) or differing (False).
 
-    Every unlabelled later rule this empties is labelled shadowing.
+    Every unlabelled later rule this empties is labelled shadowing.  A rule
+    changed into several boxes is coalesced, which keeps its packets.
     """
     ri = rules[i]
     if ri.is_empty:
         return
     for j in hulls.touching(i, True, same_decision=same_decision):
-        rj = rules[j] = exclusion(rules[j], ri)
+        rj = exclusion(rules[j], ri)
+        if len(rj.condition) > 1 and rj.condition != rules[j].condition:
+            rj = replace(rj, condition=tuple(coalesce(rj.condition)))
+        rules[j] = rj
         hulls.update(j, rj)
         if kinds[j] is None and rj.is_empty:
             kinds[j] = WarningKind.SHADOWING
@@ -201,9 +206,9 @@ def _exclude_forward(
 def detection(ruleset: Ruleset) -> AuditReport:
     """Exclude every earlier rule from every later one.
 
-    Rules whose condition ends up empty are reported as shadowing, even
-    when they are really redundant; use ``complete_detection`` to tell
-    the two apart.
+    Every kept rule an exclusion changed has its boxes coalesced.  Rules
+    that end up empty are reported as shadowing, even when they are really
+    redundant; use ``complete_detection`` to tell the two apart.
     """
     t0 = time.perf_counter()
     rules = list(ruleset.rules)
@@ -288,8 +293,9 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     Phase 1 excludes each rule from every later rule with a different
     decision, labelling emptied rules as shadowing.  Phase 2 walks the
     survivors in order: a labelled rule that later same-decision rules
-    absorb is emptied; any other rule is excluded from later
-    same-decision rules, labelling newly emptied ones as shadowing.
+    absorb is emptied; any other rule is excluded from later same-decision
+    rules, labelling newly emptied ones as shadowing.  Every kept rule an
+    exclusion changed has its boxes coalesced.
 
     Labels hold for the original ruleset.  When phase 2 reaches rule i,
     its condition minus the original conditions of the earlier

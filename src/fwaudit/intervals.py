@@ -198,6 +198,39 @@ def box_subtract(b: Box, a: Box) -> list[Box]:
     return out
 
 
+def coalesce(boxes: Sequence[Box]) -> list[Box]:
+    """Merge pairwise-disjoint boxes that agree on all attributes but one and
+    abut on it, until no two do; the packets covered stay the same.
+
+    A pass on one attribute merges the abutting runs of boxes that agree
+    elsewhere, so the set returned depends only on the set given.
+    """
+    # each box as its (lo, hi) pairs, beside the Box it came from (None once merged)
+    rows = [(tuple((iv.lo, iv.hi) for iv in b.intervals), b) for b in boxes]
+    p = boxes[0].p if boxes else 0
+    k = idle = 0
+    while idle < p and len(rows) > 1:
+        groups: dict[tuple, list] = {}
+        for row in rows:
+            groups.setdefault(row[0][:k] + row[0][k + 1 :], []).append(row)
+        idle += 1
+        if len(groups) < len(rows):
+            rows = []
+            for group in groups.values():
+                group.sort(key=lambda row: row[0][k])
+                (run, box), *rest = group
+                for pairs, b in rest:
+                    if run[k][1] + 1 == pairs[k][0]:
+                        run, box = run[:k] + ((run[k][0], pairs[k][1]),) + run[k + 1 :], None
+                        idle = 1
+                    else:
+                        rows.append((run, box))
+                        run, box = pairs, b
+                rows.append((run, box))
+        k = (k + 1) % p
+    return [b if b is not None else Box.from_pairs(*pairs) for pairs, b in rows]
+
+
 _INT64 = np.iinfo(np.int64)
 
 

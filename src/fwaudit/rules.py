@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .errors import ArityError
 from .intervals import Box, DomainSpec, box_subtract
 
 
@@ -80,11 +79,8 @@ def exclusion(b: Rule, a: Rule) -> Rule:
     for abox in a.condition:
         if not working:
             break
-        arity = abox.p
         refined: list[Box] = []
         for wbox in working:
-            if wbox.p != arity:
-                raise ArityError(f"rules disagree on attribute count ({wbox.p} vs {arity})")
             refined.extend(box_subtract(wbox, abox))
         working = refined
     return replace(b, condition=tuple(working))

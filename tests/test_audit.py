@@ -18,7 +18,7 @@ from fwaudit import (
     rewrite,
 )
 from fwaudit.audit import RewriteMode, RuleWarning, WarningKind, _exclude_forward, _hull, _Hulls
-from fwaudit.intervals import boxes_pairwise_disjoint
+from fwaudit.intervals import boxes_pairwise_disjoint, coalesce
 from fwaudit.rules import Decision
 from fwaudit.synth import worst_case_family
 
@@ -67,6 +67,22 @@ class TestDetection:
         assert (s.input_rules, s.output_rules, s.output_boxes) == (5, 4, 7)
         assert s.elapsed_ms >= 0.0
         assert report.algorithm == "detection"
+
+    def test_nested_family_slabs_are_coalesced(self):
+        # unmerged, the slab decomposition leaves 462, 495 and 455 boxes
+        counts = {(n, p): detection(worst_case_family(n, p)).stats.output_boxes
+                  for n, p in ((7, 5), (9, 4), (13, 3))}
+        assert counts == {(7, 5): 31, (9, 4): 33, (13, 3): 37}
+        rs = worst_case_family(13, 3)  # 131^3 packets, inside the dense budget
+        # a first rule inside the domain cuts a hole in every rule from the
+        # seventh on, so boxes that agree elsewhere need not abut there
+        holed = Ruleset(rs.domain, (rule(1, "deny", ((60, 70),) * 3),
+                                    *(replace(r, position=r.position + 1) for r in rs.rules)))
+        for case in (rs, holed):
+            report = detection(case)
+            assert equivalent(case, report.transformed)
+            for r in report.transformed.rules:
+                assert coalesce(r.condition) == list(r.condition)
 
 
 class TestTestRedundancy:
@@ -331,6 +347,12 @@ class TestAuditProperties:
             again = algorithm(report.transformed)
             assert again.warnings == (), f"seed {seed}"
             assert again.transformed.rules == report.transformed.rules, f"seed {seed}"
+
+    @pytest.mark.parametrize("algorithm", [detection, complete_detection])
+    def test_output_conditions_are_coalesced(self, algorithm):
+        for seed in range(40):
+            for r in algorithm(_random_ruleset(seed, self.dom)).transformed.rules:
+                assert coalesce(r.condition) == list(r.condition), f"seed {seed}"
 
     def test_detection_warnings_are_exactly_the_shadowed_rules(self):
         # every rule the exhaustive checker calls shadowed, and nothing else

@@ -85,5 +85,5 @@ class TestCsv:
 class TestWorstCaseBench:
     def test_records_measured_growth(self):
         records = bench_worst_case([(2, 2), (3, 2)])
-        assert [(r.n, r.p, r.out_boxes) for r in records] == [(2, 2, 3), (3, 2, 6)]
+        assert [(r.n, r.p, r.out_boxes) for r in records] == [(2, 2, 3), (3, 2, 5)]
         assert all(r.profile == "worstcase" for r in records)

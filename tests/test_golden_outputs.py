@@ -149,22 +149,22 @@ GOLDEN = {
     },
     "intermediate-five": {
         "gen": "6c955829ccc6bc1a3df3cff3ef007079c68a88fcd38047a4adc479af5e51cf5f",
-        "audit-detection-text": "1e62907bc6af8b8efc98196a4a70665fd7d1455936eabc8b9a4142b4d237728c",
-        "audit-detection-json": "3332283ab683a39b245ac894c14c5e5918716454b3684c6c970fe7da8898f41c",
-        "audit-complete-text": "b6e16ddfce37a136eff8f2a8de4a114663bffb83638b24c9f842f17fbe232a88",
-        "audit-complete-json": "b2693c11b539f8b99044ccccb3164614885b3154ba58b0a7c1d08882f678fe84",
-        "rewrite-positive": "05a6cb7769c59e2a037bdf7e32fa928afd4c6db752e8b3a0cec0477e273e0587",
+        "audit-detection-text": "25c60bbada7cc1e9037020d883f95fbb1e8d8be0f92dd398bf701cfe202b27d9",
+        "audit-detection-json": "160fbd1f863aba252bbbe7ee0199a3262c7a086fd145912d70a1dfbc596429b4",
+        "audit-complete-text": "77d0d9e2d03cb86e56220cd42ab1bbd501be4eb4f07d1939a822b579a3d682cb",
+        "audit-complete-json": "dfcc27c0b8c5f1a830fd0faaccc1fe6e090261d3cf6b82da25e6791fbdce512a",
+        "rewrite-positive": "2d75d6138f2484831f8e7f4f23b546833f9260a0c5fa6b63ff4981f4776c4f0c",
         "rewrite-negative": "02de7b2e0f4001d91a7c065d645e9512729289d9f08b36f405c58243ba158a00",
         "check": "6daa2abafcbff244c54e5f74e2cf4a8ee09428ba18551f5322ecf65e0857e4a1"
     },
     "expert-five": {
         "gen": "5eabf07d3cba5c89adb7891744e464ee23ae8ff31eb7aecb8457c9ca631ebf90",
-        "audit-detection-text": "530a59fe834f3881e199dc1afc369a523a000021d510c9ab3b3c5c539129213c",
-        "audit-detection-json": "369c1e891ee4cd97ec8c61d4799c0f4419070ff9165de9f397b537545e293344",
-        "audit-complete-text": "a7664c24c2dc1936cb02f4f7c01936f2db8a4a01edcc6ecbe6c209b33b978658",
-        "audit-complete-json": "e86ff82a681d78563f539e4089e1d56788ad648efce74342f898849b52ede309",
-        "rewrite-positive": "b3ca398a38eff845af6a3eaaa96ba8e1980fe4fce19be95b5abe71c60de42668",
-        "rewrite-negative": "25247913872e2cbe35ffb2a8c42128dddbd10e974aa4a42e9c01cc9a891e901d",
+        "audit-detection-text": "b2730a28dd45fa529c567447b5324903fb8aa8b85e6b4ec629d140be56f04888",
+        "audit-detection-json": "458a28077dd7de366ae9bf6647fcb84115b6996118e9aa05824879fb2e50bbc4",
+        "audit-complete-text": "f99a7dbffb5e3dd8ff7fdbe625daa1219044401450c11dbf015b21bcaceccd87",
+        "audit-complete-json": "a4d499e881bdf93cbf69c6a6527e470af8cda585b1464d21a113e74ac454894e",
+        "rewrite-positive": "5534f4ad1aa91ce08234b16e844cc9947bae6298d8d6b9f897867917617c7e4c",
+        "rewrite-negative": "48791c8395a6e7a1a9a901b8a2641f608fc2b69904484210b8b0b64009e2f98b",
         "check": "6daa2abafcbff244c54e5f74e2cf4a8ee09428ba18551f5322ecf65e0857e4a1"
     },
     "beginner-small": {
@@ -198,34 +198,34 @@ GOLDEN = {
         "check": "2fe7520fe76c7fcdb53e8b54abeb6070cf0a50a0e2033262f8bfbeba5c0cc472"
     },
     "worst-4x2": {
-        "audit-detection-text": "904bef32cb6a1231bb158445161194f4ab65484a050e7c7b2cf0670d172aaf10",
-        "audit-detection-json": "bde5316b3405600f3f714bac05378c2dc16155b28af2e82a5b26b5238561e01c",
-        "audit-complete-text": "e53d93802198363e89798447f482bb7707d5e20d3c21379ff52246cb27deaa6b",
-        "audit-complete-json": "ea33922ac23b2f0e18fa888bfdc075a74161c9a17e8631b38c9f0600f2a8976b",
-        "rewrite-positive": "8a85528c4279dcf7bf40b2ccc295ce469fbcdc4368871c6241ab5d3c6dc6d7e3",
-        "rewrite-negative": "99f3e33bbed85246c22f12e33ab35607be0f9f67f9476924596d93e97ec12422",
+        "audit-detection-text": "96ab8611882c89c7e3e012ea3c03828594d5ed27b8e2565e879565326a05bbc9",
+        "audit-detection-json": "cac848ef12fd26eeabcdac03e50d458bc56fe4f00dd302b99513e6bfe90413af",
+        "audit-complete-text": "b8644178c2d981bf714612b0984fda5e43dd513b44fe6139a4bf6b9cd9f3688b",
+        "audit-complete-json": "d656b0bc540ba3c75efe7476fe14eea212d3c3e323ac40787c390b709d1246a4",
+        "rewrite-positive": "f94e26ee8205922eb40ff822e974b7ac5d7705ce227156110e7c93f40f048fde",
+        "rewrite-negative": "61ad560c6833283478f8c2c23876eef0b3961775cb0bf101b5359db5b22b8edc",
         "check": "df5c969d67c088d3ad9dd85c8d12519f458e4afb49a8f799a5f3a2189e28e6cc"
     },
     "worst-5x3": {
-        "audit-detection-text": "0448ca3eb5ee761826cf2f9b7d64cfe16a069d9f35d8aaa8715507cf80d0f890",
-        "audit-detection-json": "a4dc104e0cf6c9e39d6a12b2c8b606a1471e5f094b2e09fd0628a118bfa02d33",
-        "audit-complete-text": "5c75c42c54807ff84ca218fcd78053a05f2bccd3525645c4acf6200462b8c7c7",
-        "audit-complete-json": "0ec6855acfeb4a94d00ceb32b551b827de1f46ce38d3ab88f98ad483a3053674",
-        "rewrite-positive": "e29e406479db8a1638e761441272fcebd5708be5a8bfcea36c2ca54203ceb169",
-        "rewrite-negative": "af37822bba6eb1c13eb5295c0eade2b97c34064629cb4e5dc3ac3d8e2f47b2d9",
+        "audit-detection-text": "cd7279cf39df0acb813b0884e662170f6d3bb8a0c38730cfddf0845b20f3b2bf",
+        "audit-detection-json": "ce031672ea702428309938dc2aa3961f1e50ee0bd709eccbdfe5bcefa1588ed7",
+        "audit-complete-text": "b4fed533712f78ddac74152fe88e8cf7c3035a28d4cd488115a7074eadd21b68",
+        "audit-complete-json": "72bb6efb736d7e6e82a17a5c20548aefce262fe9765784cd6ee5a3980742dd79",
+        "rewrite-positive": "d07768b7e6e6319d2f176ba8c7f50cc7f2a1ccc177d1e704fe243ff98ab3dd33",
+        "rewrite-negative": "5ad3c06eaaf4dd83c536fd554d5ddefcba65e81ad01356accd7fb9c469ec05b2",
         "check": "e45feecd99324c2fa999b62db533e7ab77f58d26cdce9a58369eb8e6436a7a12"
     },
     "worst-6x2": {
-        "audit-detection-text": "fa36d9a94e3fb0d9dd7fc5ddd8bed2a139ffaa737a3c210128a5ec12bd823f5a",
-        "audit-detection-json": "7e6183318f7cdc427ab6ee9d0808bde8b09abd73a2c6d32220eb80b0ec202174",
-        "audit-complete-text": "576088cceab070825ab8c4d925c28f70430f07f90637cec64be807c5ee3e35a5",
-        "audit-complete-json": "669527b33e1453f3180b6c0440b308f042fc492d063150cb336920083ed1a72c",
-        "rewrite-positive": "5cd53f8c92f0addadde30b87d31315f156654eca2061599171e3da272c490ec9",
-        "rewrite-negative": "c5609d2883e708ea7fb3b2cb017255fff190de2b99f55cd8b475acb992bdbe1c",
+        "audit-detection-text": "124dcd330f0e668bf3a5fcd020e3b528293357dbf6f3e6d9d1e0e6598c0b0b78",
+        "audit-detection-json": "ae09bb7a853936695b10c1a06a61120ad85b8bf59ed479133b83f2c228329460",
+        "audit-complete-text": "815fc70c830f9cbb68464c7fc42ca5901fbc1b6c20e521ed7dc0d15cc7e34ce9",
+        "audit-complete-json": "13035d2706e0e404a5dca105ee62133823d4f886b296bed657d7aab9db21ac79",
+        "rewrite-positive": "34725794470f6ea2cbdee40bcac8f0cfd88eb35d2fb46614449297c5a1cc4343",
+        "rewrite-negative": "58c6ee4407ea94e5df8e0a10f336dd3b64563abc5b3897cf14b15750967571b5",
         "check": "df5c969d67c088d3ad9dd85c8d12519f458e4afb49a8f799a5f3a2189e28e6cc"
     },
     "bench": {
-        "five-tuple": "ab19b6e5302712757ef18c04487ab6ba96471d47e7b7ff794a59c6d22a879e3a",
+        "five-tuple": "b4d2cb4b9e581e8bbaae01cfa508cd3a17f07ac9e4ac0b2de3fc1e748e444b62",
         "small": "534585a2e9bf570ddcfcae90a0858f2d1ddea46fc287ad9094ff2cb45d410d2b"
     }
 }

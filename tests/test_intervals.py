@@ -14,7 +14,7 @@ from fwaudit import (
     interval_intersect,
     interval_subtract,
 )
-from fwaudit.intervals import bounds_dtype, box_bounds, touching_pairs
+from fwaudit.intervals import bounds_dtype, box_bounds, coalesce, touching_pairs
 
 from conftest import box
 
@@ -196,6 +196,69 @@ class TestHelpers:
         boxes.insert(data.draw(st.integers(0, len(boxes))), data.draw(edge_boxes_st(3)))
         with pytest.raises(ArityError):
             boxes_pairwise_disjoint(boxes)
+
+
+def _mergeable(a: Box, b: Box) -> bool:
+    differ = [k for k in range(a.p) if a.intervals[k] != b.intervals[k]]
+    if len(differ) != 1:
+        return False
+    x, y = a.intervals[differ[0]], b.intervals[differ[0]]
+    return x.hi + 1 == y.lo or y.hi + 1 == x.lo
+
+
+@st.composite
+def disjoint_boxes_st(draw, p: int, offset: int):
+    """Pairwise-disjoint boxes on a small grid shifted by ``offset``: some
+    cells of a random grid (so many abut), or random boxes that miss the
+    ones kept before them."""
+    if draw(st.booleans()):
+        axes = []
+        for _ in range(p):
+            cuts = sorted(draw(st.sets(st.integers(1, 7), max_size=3)))
+            ends = [0, *cuts, 8]
+            axes.append([Interval(offset + lo, offset + hi - 1) for lo, hi in zip(ends, ends[1:])])
+        cells = list(itertools.product(*axes))
+        picked = draw(st.lists(st.sampled_from(range(len(cells))), unique=True, max_size=12))
+        return [Box(cells[i]) for i in picked]
+    kept = []
+    for b in draw(st.lists(boxes_st(p), max_size=12)):
+        b = Box(tuple(Interval(offset + iv.lo, offset + iv.hi) for iv in b.intervals))
+        if not any(box_intersects(b, k) for k in kept):
+            kept.append(b)
+    return kept
+
+
+class TestCoalesce:
+    def test_merges_abutting_runs_only(self):
+        got = coalesce([box((5, 9), (0, 3)), box((0, 4), (0, 3)), box((11, 12), (0, 3))])
+        assert set(got) == {box((0, 9), (0, 3)), box((11, 12), (0, 3))}
+
+    def test_merges_again_on_another_attribute(self):
+        # the two left boxes merge on d; only then can they merge with the
+        # right one on s
+        got = coalesce([box((0, 4), (0, 1)), box((0, 4), (2, 3)), box((5, 9), (0, 3))])
+        assert got == [box((0, 9), (0, 3))]
+
+    def test_keeps_boxes_that_agree_nowhere(self):
+        boxes = [box((0, 4), (0, 1)), box((5, 9), (2, 3))]
+        assert coalesce(boxes) == boxes
+        assert coalesce([]) == []
+
+    @pytest.mark.parametrize("p, offset", [(1, 0), (2, 0), (3, 0), (2, 2**64), (2, -(2**64) - 8)])
+    @given(data=st.data())
+    def test_same_points_disjoint_maximal_and_order_free(self, p, offset, data):
+        boxes = data.draw(disjoint_boxes_st(p, offset))
+        got = coalesce(boxes)
+        covered = set()
+        for b in got:
+            pts = box_points(b)
+            assert not (pts & covered), "boxes overlap"
+            covered |= pts
+        assert covered == set().union(*map(box_points, boxes))
+        assert not any(_mergeable(a, b) for a, b in itertools.combinations(got, 2))
+        shuffled = data.draw(st.permutations(boxes))
+        assert set(coalesce(shuffled)) == set(got)
+        assert coalesce(boxes) == got
 
 
 class TestDomainSpec:
