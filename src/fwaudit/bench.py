@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, fields, replace
 from .audit import ALGORITHMS, WarningKind
 from .intervals import DomainSpec
 from .rules import Ruleset
-from .synth import GeneratorProfile, generate, profile, worst_case_family
+from .synth import generate, profile, worst_case_family
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,17 +62,14 @@ def _run_cell(algorithm: str, profile_name: str, ruleset: Ruleset, seed: int) ->
 
 def bench(
     algorithms: Iterable[str],
-    profiles: Iterable[GeneratorProfile | str],
+    profiles: Iterable[str],
     sizes: Sequence[int],
     seeds: int,
     domain: DomainSpec | None = None,
 ) -> list[BenchRecord]:
     """Run every (algorithm, profile, size, seed) cell and collect records."""
     domain = domain or DomainSpec.five_tuple()
-    profs = sorted(
-        (profile(p) if isinstance(p, str) else p for p in profiles),
-        key=lambda p: p.name,
-    )
+    profs = [profile(name) for name in sorted(profiles)]
     records = []
     for algorithm in sorted(set(algorithms)):
         if algorithm not in ALGORITHMS:

@@ -119,13 +119,6 @@ class DomainSpec:
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    def full_interval(self, k: int) -> Interval:
-        a = self.attributes[k]
-        return Interval(a.lo, a.hi)
-
-    def full_box(self) -> Box:
-        return Box(tuple(self.full_interval(k) for k in range(self.p)))
-
     def size(self) -> int:
         """Total number of distinct packets in the domain."""
         return math.prod(a.hi - a.lo + 1 for a in self.attributes)

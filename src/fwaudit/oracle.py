@@ -3,9 +3,9 @@
 Everything here treats a ruleset as a black-box packet classifier under
 first-match semantics and checks it point by point, independently of the
 interval algebra the transforms are built on.  Exhaustive checks
-materialize the whole packet space as a dense grid (bounded by an
-explicit budget); sampled checks draw seeded random packets and are
-advisory only.
+materialize the whole packet space as a dense grid of at most
+``DEFAULT_BUDGET`` packets; sampled checks draw seeded random packets
+and are advisory only.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ def evaluate(ruleset: Ruleset, packet: Packet) -> Outcome:
     return Outcome.NO_MATCH
 
 
-def _check_budget(domain: DomainSpec, budget: int) -> None:
+def _check_budget(domain: DomainSpec) -> None:
     size = domain.size()
-    if size > budget:
+    if size > DEFAULT_BUDGET:
         raise DomainTooLargeError(
-            f"domain holds {size} packets, over the exhaustive budget of {budget}; "
+            f"domain holds {size} packets, over the exhaustive budget of {DEFAULT_BUDGET}; "
             "use sample_equivalent for domains this large"
         )
 
@@ -104,12 +104,7 @@ def _apply_default(grid: np.ndarray, default: Decision | None) -> np.ndarray:
     return np.where(grid == -1, _OUTCOME_CODE[default], grid)
 
 
-def equivalent(
-    r1: Ruleset,
-    r2: Ruleset,
-    budget: int = DEFAULT_BUDGET,
-    default: Decision | None = None,
-) -> EquivalenceResult:
+def equivalent(r1: Ruleset, r2: Ruleset, *, default: Decision | None = None) -> EquivalenceResult:
     """Exhaustively compare two rulesets packet for packet.
 
     By default outcomes are compared three-valued (accept / deny /
@@ -119,25 +114,24 @@ def equivalent(
     """
     if r1.domain != r2.domain:
         raise DomainError("rulesets declare different domains")
-    _check_budget(r1.domain, budget)
+    _check_budget(r1.domain)
     g1 = _apply_default(_outcome_grid(r1.domain, r1.rules), default)
     g2 = _apply_default(_outcome_grid(r2.domain, r2.rules), default)
     witness = _first_difference(r1.domain, g1, g2)
     return EquivalenceResult(witness is None, witness)
 
 
-def find_shadowed(ruleset: Ruleset, budget: int = DEFAULT_BUDGET) -> set[int]:
+def find_shadowed(ruleset: Ruleset) -> set[int]:
     """Positions of rules that are never any packet's first match."""
-    _check_budget(ruleset.domain, budget)
+    _check_budget(ruleset.domain)
     grid = _first_match_grid(ruleset.domain, ruleset.rules)
     reached = set(np.unique(grid).tolist())
     return {r.position for idx, r in enumerate(ruleset.rules) if idx not in reached}
 
 
-def find_redundant(ruleset: Ruleset, budget: int = DEFAULT_BUDGET) -> set[int]:
+def find_redundant(ruleset: Ruleset) -> set[int]:
     """Positions of non-shadowed rules whose removal changes no packet's outcome."""
-    _check_budget(ruleset.domain, budget)
-    shadowed = find_shadowed(ruleset, budget)
+    shadowed = find_shadowed(ruleset)
     base = _outcome_grid(ruleset.domain, ruleset.rules)
     redundant = set()
     for idx, rule in enumerate(ruleset.rules):
@@ -200,13 +194,7 @@ def _sample_columns(domain: DomainSpec, samples: int, seed: int) -> list[np.ndar
     ]
 
 
-def sample_equivalent(
-    r1: Ruleset,
-    r2: Ruleset,
-    samples: int,
-    seed: int,
-    default: Decision | None = None,
-) -> EquivalenceResult:
+def sample_equivalent(r1: Ruleset, r2: Ruleset, samples: int, seed: int) -> EquivalenceResult:
     """Compare outcomes on seeded uniform random packets.
 
     Advisory only: agreement on every sample is evidence, not proof, of
@@ -219,8 +207,8 @@ def sample_equivalent(
         raise ValueError("samples must be >= 1")
     columns = _sample_columns(r1.domain, samples, seed)
     orders: dict[int, np.ndarray] = {}
-    o1 = _apply_default(_sample_outcomes(r1.domain, r1.rules, columns, orders), default)
-    o2 = _apply_default(_sample_outcomes(r2.domain, r2.rules, columns, orders), default)
+    o1 = _sample_outcomes(r1.domain, r1.rules, columns, orders)
+    o2 = _sample_outcomes(r2.domain, r2.rules, columns, orders)
     diff = np.flatnonzero(o1 != o2)
     if diff.size == 0:
         return EquivalenceResult(True)

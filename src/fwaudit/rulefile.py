@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .audit import AuditReport, AuditStats, RuleWarning, WarningKind
-from .errors import DomainError, ParseError, ValidationError
+from .errors import ArityError, DomainError, ParseError, ValidationError
 from .intervals import AttributeDomain, Box, DomainSpec, Interval, box_intersects
 from .rules import Decision, Rule, Ruleset
 
@@ -46,6 +46,10 @@ _ORDER_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")
 _RANGE_RE = re.compile(r"^\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]$")
 # a.b.c.d, or a.b.c.[x,y] ranging over the last octet
 _QUAD_RE = re.compile(r"^(\d+)\.(\d+)\.(\d+)\.(?:(\d+)|\[\s*(\d+)\s*,\s*(\d+)\s*\])$")
+# an attribute name holds no bracket, comma or '='
+_BOUND_RE = re.compile(r"^([^\[\],=]+?)\s*=\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]$")
+# a comma outside brackets: no ']' follows it before the next '['
+_FIELD_SEP_RE = re.compile(r",(?![^\[]*\])")
 
 
 def input_digest(text: str) -> str:
@@ -89,30 +93,23 @@ def _checked(a: int, b: int, attr: AttributeDomain, line: int) -> Interval:
     return Interval(a, b)
 
 
-def _parse_bounds(text: str, line: int | None) -> dict[str, tuple[int, int]]:
-    """Parse 'name=[lo,hi], ...'; ``line`` is the rule-file line, if any."""
+def parse_domain_overrides(text: str, line: int | None = None) -> dict[str, tuple[int, int]]:
+    """Parse 'name=[lo,hi], ...' bounds: CLI --domain, or the @domain header on ``line``."""
     where = "" if line is None else f"line {line}: "
     bounds: dict[str, tuple[int, int]] = {}
-    for part in _rejoin_ranges([p.strip() for p in text.split(",")], line):
+    for part in (p.strip() for p in _FIELD_SEP_RE.split(text)):
         if not part:
             continue
-        name, eq, rng = part.partition("=")
-        name = name.strip()
-        m = _RANGE_RE.match(rng.strip())
-        if not eq or not m:
+        m = _BOUND_RE.match(part)
+        if not m:
             raise ParseError(f"bad domain bounds {part!r} (want name=[lo,hi])", line)
-        lo, hi = int(m.group(1)), int(m.group(2))
+        name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
         if lo > hi:
             raise ValidationError(f"{where}inverted domain bounds for {name}")
         if name in bounds:
             raise ValidationError(f"{where}duplicate domain attribute {name!r}")
         bounds[name] = (lo, hi)
     return bounds
-
-
-def parse_domain_overrides(text: str) -> dict[str, tuple[int, int]]:
-    """Parse a 'name=[lo,hi],name=[lo,hi]' bounds-override string (CLI --domain)."""
-    return _parse_bounds(text, None)
 
 
 def apply_domain_overrides(
@@ -146,7 +143,7 @@ def parse_ruleset(
     domain = DomainSpec.five_tuple()
     if lines and lines[0][1].startswith("@domain"):
         lineno, header = lines.pop(0)
-        bounds = _parse_bounds(header[len("@domain") :], lineno)
+        bounds = parse_domain_overrides(header[len("@domain") :], lineno)
         if not bounds:
             raise ParseError("@domain header declares no attributes", lineno)
         domain = DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
@@ -157,8 +154,7 @@ def parse_ruleset(
     for lineno, line in lines:
         if line.startswith("@domain"):
             raise ParseError("@domain header must be the first non-comment line", lineno)
-        # bracketed ranges contain commas; re-join split range halves
-        fields = _rejoin_ranges([f.strip() for f in line.split(",")], lineno)
+        fields = [f.strip() for f in _FIELD_SEP_RE.split(line)]
         if len(fields) != domain.p + 2:
             raise ParseError(
                 f"expected {domain.p + 2} fields (order, {domain.p} conditions, decision), got {len(fields)}",
@@ -198,24 +194,6 @@ def parse_ruleset(
         else:
             rules.append(Rule(major, (box,), decision))
     return Ruleset(domain, tuple(rules))
-
-
-def _rejoin_ranges(fields: list[str], lineno: int | None) -> list[str]:
-    out: list[str] = []
-    pending = None
-    for f in fields:
-        if pending is not None:
-            pending = pending + "," + f
-            if "]" in f:
-                out.append(pending)
-                pending = None
-        elif ("[" in f) and ("]" not in f):
-            pending = f
-        else:
-            out.append(f)
-    if pending is not None:
-        raise ParseError(f"unterminated range in {pending!r}", lineno)
-    return out
 
 
 def _format_interval(iv: Interval, attr: AttributeDomain) -> str:
@@ -311,31 +289,34 @@ class ReportDocument:
             if doc["version"] != REPORT_SCHEMA_VERSION:
                 raise ParseError(f"unsupported report version {doc['version']!r}")
             st = doc["stats"]
+            domain = DomainSpec.of(
+                *((_typed(a["name"], str), *_ints((a["lo"], a["hi"]))) for a in doc["domain"])
+            )
+            # Ruleset checks each box against the domain and the order values
+            rules = Ruleset(domain, tuple(
+                Rule(
+                    _typed(r["order"], int),
+                    tuple(Box.from_pairs(*map(_ints, box)) for box in r["condition"]),
+                    Decision(r["decision"]),
+                )
+                for r in doc["rules"]
+            )).rules
             return cls(
                 tool_version=_typed(doc["tool_version"], str),
                 algorithm=_typed(doc["algorithm"], str),
                 input_digest=_typed(doc.get("input_digest"), str, type(None)),
-                domain=DomainSpec.of(
-                    *((_typed(a["name"], str), *_ints((a["lo"], a["hi"]))) for a in doc["domain"])
-                ),
+                domain=domain,
                 warnings=tuple(
                     RuleWarning(_typed(w["rule"], int), WarningKind(w["kind"]))
                     for w in doc["warnings"]
                 ),
-                rules=tuple(
-                    Rule(
-                        _typed(r["order"], int),
-                        tuple(Box.from_pairs(*map(_ints, box)) for box in r["condition"]),
-                        Decision(r["decision"]),
-                    )
-                    for r in doc["rules"]
-                ),
+                rules=rules,
                 stats=AuditStats(
                     *_ints((st["input_rules"], st["output_rules"], st["output_boxes"])),
                     _typed(st["elapsed_ms"], int, float),
                 ),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ArityError, DomainError) as e:
             # json.JSONDecodeError is a ValueError
             raise ParseError(f"bad report JSON: {e!r}") from None
 

@@ -54,15 +54,6 @@ class Ruleset:
             for box in r.condition:
                 self.domain.check_box(box)
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    def rule_at(self, position: int) -> Rule:
-        for r in self.rules:
-            if r.position == position:
-                return r
-        raise IndexError(f"no rule at position {position}")
-
     def total_boxes(self) -> int:
         return sum(len(r.condition) for r in self.rules)
 

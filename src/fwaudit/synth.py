@@ -2,7 +2,8 @@
 
 Workload profiles model security officers by how often their rules
 overlap earlier ones: beginners rarely collide (5%), experts write dense
-exception chains (90%).  Separately, ``worst_case_family`` builds the
+exception chains (90%).  Every profile accepts or denies with equal
+odds.  Separately, ``worst_case_family`` builds the
 nested-box configurations whose audit output grows fastest, for growth
 accounting.
 """
@@ -25,18 +26,15 @@ _FRESH_TRIES = 10_000
 
 @dataclass(frozen=True, slots=True)
 class GeneratorProfile:
-    """Knobs of the synthetic workload: how rules are drawn."""
+    """How rules are drawn: the chance a rule overlaps an earlier one, and the seed."""
 
     name: str
     overlap_probability: float
-    decision_bias: float = 0.5  # P(accept)
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.overlap_probability <= 1.0:
             raise ValueError(f"overlap_probability {self.overlap_probability} not in [0,1]")
-        if not 0.0 <= self.decision_bias <= 1.0:
-            raise ValueError(f"decision_bias {self.decision_bias} not in [0,1]")
 
 
 _PROFILE_OVERLAP = {"beginner": 0.05, "intermediate": 0.475, "expert": 0.90}
@@ -44,17 +42,11 @@ _PROFILE_OVERLAP = {"beginner": 0.05, "intermediate": 0.475, "expert": 0.90}
 PROFILE_NAMES = tuple(_PROFILE_OVERLAP)
 
 
-def profile(name: str, seed: int = 0, *, overlap_probability: float | None = None,
-            decision_bias: float = 0.5) -> GeneratorProfile:
+def profile(name: str, seed: int = 0) -> GeneratorProfile:
     """A named officer profile, with its conventional overlap probability."""
-    if overlap_probability is None:
-        try:
-            overlap_probability = _PROFILE_OVERLAP[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown profile {name!r}; choose from {list(_PROFILE_OVERLAP)}"
-            ) from None
-    return GeneratorProfile(name, overlap_probability, decision_bias, seed)
+    if name not in _PROFILE_OVERLAP:
+        raise ValueError(f"unknown profile {name!r}; choose from {list(_PROFILE_OVERLAP)}")
+    return GeneratorProfile(name, _PROFILE_OVERLAP[name], seed)
 
 
 def _width_cap(attr: AttributeDomain) -> int:
@@ -110,7 +102,7 @@ def generate(prof: GeneratorProfile, n: int, domain: DomainSpec) -> Ruleset:
             )
         else:
             box = _fresh_disjoint_box(rng, domain, lo[: k - 1], hi[: k - 1])
-        decision = Decision.ACCEPT if rng.random() < prof.decision_bias else Decision.DENY
+        decision = Decision.ACCEPT if rng.random() < 0.5 else Decision.DENY
         rules.append(Rule(k, (box,), decision))
         boxes.append(box)
         lo[k - 1 : k], hi[k - 1 : k] = box_bounds([box], domain.p, dtype)

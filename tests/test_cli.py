@@ -335,6 +335,25 @@ def test_bad_ipv4_token_exits_2_naming_its_line(token, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", ["[1,30", "[1,30]]", "]"])
+def test_unbalanced_bracket_exits_2_naming_its_line(token, tmp_path, capsys):
+    rules = f"1, any, any, any, any, any, deny\n2, any, {token}, any, any, any, accept\n"
+    assert main(["audit", str(_file(tmp_path / "bad.rules", rules))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2")
+    assert "Traceback" not in err
+
+
+# an unterminated range, and a bracket inside an attribute name
+@pytest.mark.parametrize("bounds", ["a=[0,10", "a[1,2]=[0,10]"])
+def test_bad_header_bounds_exit_2_naming_line_1(bounds, tmp_path, capsys):
+    rules = f"@domain {bounds}\n1, any, accept\n"
+    assert main(["audit", str(_file(tmp_path / "bad.rules", rules))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1")
+    assert "Traceback" not in err
+
+
 class TestUsage:
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2

@@ -163,7 +163,9 @@ class TestSampleEquivalent:
     def test_full_port_address_domains(self):
         # same five rules, but over the whole 32-bit five-tuple space
         dom = DomainSpec.five_tuple()
-        full = dom.full_interval
+
+        def full(k):
+            return Interval(dom.attributes[k].lo, dom.attributes[k].hi)
 
         def wide(pos, dec, s, d):
             b = Box((full(0), Interval(*s), full(2), Interval(*d), full(4)))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwaudit import (
+    Box,
     DomainError,
     DomainSpec,
     FwAuditError,
@@ -43,7 +44,8 @@ class TestParse:
     def test_full_any_rule_default_domain(self):
         rs = parse_ruleset("1, any, any, any, any, any, accept\n")
         assert rs.domain == DomainSpec.five_tuple()
-        assert rs.rules[0].condition[0] == rs.domain.full_box()
+        full = Box(tuple(Interval(a.lo, a.hi) for a in rs.domain.attributes))
+        assert rs.rules[0].condition[0] == full
 
     def test_dotted_quads_and_protocol_names(self):
         rs = parse_ruleset("1, tcp, 10.0.0.[1,30], any, 10.0.0.7, 80, accept\n")
@@ -229,6 +231,16 @@ class TestReports:
         lambda doc: {**doc, "domain": [{**doc["domain"][0], "lo": True}, *doc["domain"][1:]]},
         lambda doc: {**doc, "warnings": [{"rule": 2, "kind": "odd"}]},
         lambda doc: {**doc, "stats": {**doc["stats"], "elapsed_ms": "fast"}},
+        # a box outside the declared domain
+        lambda doc: {**doc, "rules": [
+            {**doc["rules"][0], "condition": [[[0, 10**30], *doc["rules"][0]["condition"][0][1:]]]}
+        ]},
+        # a box with one attribute too few
+        lambda doc: {**doc, "rules": [
+            {**doc["rules"][0], "condition": [doc["rules"][0]["condition"][0][1:]]}
+        ]},
+        # a repeated order value
+        lambda doc: {**doc, "rules": [doc["rules"][0], doc["rules"][0]]},
     ])
     def test_malformed_json_report_is_parse_error(self, mutate):
         report, text = self._report()
