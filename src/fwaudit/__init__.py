@@ -10,7 +10,6 @@ from .audit import (
     WarningKind,
     complete_detection,
     detection,
-    probe_redundancy,
     rewrite,
 )
 from .bench import BenchRecord, bench, bench_worst_case, records_to_csv

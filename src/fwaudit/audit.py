@@ -25,11 +25,9 @@ from .errors import DisjointnessError
 from .intervals import (
     DomainSpec,
     bounds_dtype,
-    box_bounds,
     box_intersects,
     boxes_pairwise_disjoint,
     coalesce,
-    rows_touching,
     touching_pairs,
 )
 from .rules import Decision, Rule, Ruleset, exclusion
@@ -99,62 +97,74 @@ def _empty_input_labels(rules: list[Rule]) -> list[WarningKind | None]:
     return [WarningKind.SHADOWING if r.is_empty else None for r in rules]
 
 
-def _hull(rule: Rule, p: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds of the smallest box that holds the condition
-    of a non-empty rule: the column-wise min and max of its box bounds."""
-    lo, hi = box_bounds(rule.condition, p, dtype)
-    return lo.min(axis=0), hi.max(axis=0)
+def _hull(rule: Rule) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lower and upper corner of the smallest box that holds the condition
+    of a non-empty rule: the min and max of its boxes on each attribute."""
+    first, *rest = rule.condition
+    lo = [iv.lo for iv in first.intervals]
+    hi = [iv.hi for iv in first.intervals]
+    for box in rest:
+        for k, iv in enumerate(box.intervals):
+            lo[k], hi[k] = min(lo[k], iv.lo), max(hi[k], iv.hi)
+    return tuple(lo), tuple(hi)
 
 
 @dataclass(slots=True)
 class _Hulls:
-    """Condition hulls of a rule list as (n, p) lower/upper bound arrays.
+    """Condition hulls of a rule list, one pair of Python-int corners per row.
 
     ``accept`` marks the accept rules and ``alive`` the rules whose
-    condition is not empty; the bounds of a dead row are never read.  The
-    dtype is int64 when the domain fits it, else ``object``.
+    condition is not empty; the hull of a dead row is never read.  Python
+    integers are exact, so domains wider than 64 bits need no special case.
 
     ``nbr[ptr[i]:ptr[i + 1]]`` lists, ascending, the rows whose input hull
-    touches row i's.  Exclusion only shrinks a condition, so every box a
-    scan queries for row i lies inside row i's input hull and only these
-    rows can touch it: copies share this index.
+    touches row i's; those before row i end and those after it start at
+    ``split[i]``.  Exclusion only shrinks a condition, so every box a scan
+    queries for row i lies inside row i's input hull and only these rows
+    can touch it: copies share this index.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    accept: np.ndarray
-    alive: np.ndarray
+    lo: list[tuple[int, ...] | None]
+    hi: list[tuple[int, ...] | None]
+    accept: list[bool]
+    alive: list[bool]
     nbr: np.ndarray
     ptr: list[int]
+    split: list[int]
 
     @classmethod
     def of(cls, rules: Sequence[Rule], domain: DomainSpec) -> _Hulls:
-        dtype = bounds_dtype(
-            min(a.lo for a in domain.attributes), max(a.hi for a in domain.attributes)
-        )
-        lo = np.zeros((len(rules), domain.p), dtype)
-        hi = np.zeros_like(lo)
-        accept = np.array([r.decision == Decision.ACCEPT for r in rules], dtype=bool)
-        alive = np.array([not r.is_empty for r in rules], dtype=bool)
-        live = np.flatnonzero(alive)
+        n = len(rules)
+        alive = [not r.is_empty for r in rules]
+        live = [i for i in range(n) if alive[i]]
+        lo, hi = [None] * n, [None] * n
         for i in live:
-            lo[i], hi[i] = _hull(rules[i], domain.p, dtype)
-        ptr, nbr = touching_pairs(lo[live], hi[live])
+            lo[i], hi[i] = _hull(rules[i])
+        # the index is built once, on bound arrays of the live rows
+        attrs = domain.attributes
+        dtype = bounds_dtype(min(a.lo for a in attrs), max(a.hi for a in attrs))
+        ptr, split, nbr = touching_pairs(*(
+            np.array([c[i] for i in live], dtype).reshape(len(live), domain.p) for c in (lo, hi)
+        ))
         # back to row numbers; a dead row's list is empty
-        ptr = ptr[np.searchsorted(live, np.arange(len(rules) + 1))]
-        return cls(lo, hi, accept, alive, live[nbr], ptr.tolist())
+        live = np.array(live, dtype=np.int64)
+        ptr = ptr[np.searchsorted(live, np.arange(n + 1))]
+        row_split = ptr[:-1].copy()
+        row_split[live] = split
+        accept = [r.decision == Decision.ACCEPT for r in rules]
+        return cls(lo, hi, accept, alive, live[nbr], ptr.tolist(), row_split.tolist())
 
     def copy(self) -> _Hulls:
-        return replace(self, lo=self.lo.copy(), hi=self.hi.copy(), alive=self.alive.copy())
+        return replace(self, lo=list(self.lo), hi=list(self.hi), alive=list(self.alive))
 
     def update(self, j: int, rule: Rule) -> None:
         self.alive[j] = not rule.is_empty
         if not rule.is_empty:
-            self.lo[j], self.hi[j] = _hull(rule, self.lo.shape[1], self.lo.dtype)
+            self.lo[j], self.hi[j] = _hull(rule)
 
     def touching(
-        self, i: int, later: bool, box: tuple[np.ndarray, np.ndarray] | None = None,
-        same_decision: bool | None = None, mask: np.ndarray | None = None,
+        self, i: int, later: bool, box: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+        same_decision: bool | None = None, mask: list[bool] | None = None,
     ) -> list[int]:
         """Rows after (``later``) or before row i, ascending, that are live,
         have the same (True) or a differing (False) decision when asked,
@@ -164,18 +174,22 @@ class _Hulls:
         Excluding a rule whose hull does not touch is the identity, so a
         scan may visit only these rows.
         """
-        start, stop = self.ptr[i], self.ptr[i + 1]
+        start, stop = (self.split[i], self.ptr[i + 1]) if later else (self.ptr[i], self.split[i])
         if start == stop:
             return []
-        rows = self.nbr[start:stop]
-        rows = rows[rows > i] if later else rows[rows < i]
-        lo, hi = box if box is not None else (self.lo[i], self.hi[i])
-        hit = self.alive[rows] & rows_touching(self.lo[rows], self.hi[rows], lo, hi)
-        if same_decision is not None:
-            hit &= (self.accept[rows] == self.accept[i]) == same_decision
-        if mask is not None:
-            hit &= mask[rows]
-        return rows[hit].tolist()
+        blo, bhi = box if box is not None else (self.lo[i], self.hi[i])
+        alive, accept, lo, hi = self.alive, self.accept, self.lo, self.hi
+        # the decision a kept row must have, if one is asked for
+        want = None if same_decision is None else accept[i] == same_decision
+        rows = []
+        for j in self.nbr[start:stop].tolist():
+            if alive[j] and (want is None or accept[j] == want) and (mask is None or mask[j]):
+                for jl, jh, l, h in zip(lo[j], hi[j], blo, bhi):
+                    if jh < l or h < jl:
+                        break
+                else:
+                    rows.append(j)
+        return rows
 
 
 def _exclude_forward(
@@ -195,7 +209,9 @@ def _exclude_forward(
         return
     for j in hulls.touching(i, True, same_decision=same_decision):
         rj = exclusion(rules[j], ri)
-        if len(rj.condition) > 1 and rj.condition != rules[j].condition:
+        if rj is rules[j]:
+            continue
+        if len(rj.condition) > 1:
             rj = replace(rj, condition=tuple(coalesce(rj.condition)))
         rules[j] = rj
         hulls.update(j, rj)
@@ -220,28 +236,29 @@ def detection(ruleset: Ruleset) -> AuditReport:
 
 
 def _absorbed_by_later(rules: list[Rule], hulls: _Hulls, i: int) -> bool:
-    """Is rule i's condition fully covered by later rules with its decision?"""
+    """Is non-empty rule i's condition fully covered by later rules with its decision?"""
+    # the hull of the probed copy only shrinks, so rows that miss rule i's
+    # hull can never absorb any of it
+    rows = hulls.touching(i, True, same_decision=True)
+    # exact escape: a corner of one of rule i's boxes that no box of these
+    # rows covers is a packet they leave, so rule i is not absorbed
+    cover = [box.intervals for j in rows for box in rules[j].condition]
+    for box in rules[i].condition:
+        for corner in ([iv.lo for iv in box.intervals], [iv.hi for iv in box.intervals]):
+            for ivs in cover:
+                for iv, v in zip(ivs, corner):
+                    if v < iv.lo or iv.hi < v:
+                        break
+                else:
+                    break
+            else:
+                return False
     temp = rules[i]
-    if temp.is_empty:
-        return bool((hulls.accept[i + 1 :] == hulls.accept[i]).any())
-    # the hull of temp only shrinks, so rows that miss its starting hull
-    # can never absorb any of it
-    for j in hulls.touching(i, True, same_decision=True):
+    for j in rows:
         temp = exclusion(temp, rules[j])
         if temp.is_empty:
             return True
     return False
-
-
-def probe_redundancy(ruleset: Ruleset, i: int) -> bool:
-    """Probe rule i (1-based) for absorption by later same-decision rules.
-
-    Works on a copy; the ruleset is never modified.
-    """
-    if not 1 <= i <= len(ruleset.rules):
-        raise IndexError(f"rule index {i} out of range 1..{len(ruleset.rules)}")
-    rules = list(ruleset.rules)
-    return _absorbed_by_later(rules, _Hulls.of(rules, ruleset.domain), i - 1)
 
 
 def _meets(a: Rule, b: Rule) -> bool:
@@ -276,7 +293,7 @@ def _redundant_in(
     own, not a reason to keep rule i.
     """
     rest = effective
-    for j in hulls.touching(i, True, _hull(effective, hulls.lo.shape[1], hulls.lo.dtype)):
+    for j in hulls.touching(i, True, _hull(effective)):
         rj = original[j]
         if rj.decision == rest.decision:
             rest = exclusion(rest, rj)
@@ -315,7 +332,7 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     is_shadowed = functools.cache(lambda j: _shadowed_in(original, original_hulls, j))
     kinds = _empty_input_labels(rules)
     n = len(rules)
-    emptied = np.zeros(n, dtype=bool)
+    emptied = [False] * n
 
     for i in range(n - 1):
         _exclude_forward(rules, hulls, kinds, i, False)

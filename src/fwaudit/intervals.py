@@ -34,9 +34,6 @@ class Interval:
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
 
-    def overlaps(self, other: Interval) -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
@@ -147,7 +144,7 @@ def interval_intersect(a: Interval, b: Interval) -> Interval | None:
 
 def interval_subtract(b: Interval, a: Interval) -> list[Interval]:
     """Points of b not in a, as up to two disjoint intervals in ascending order."""
-    if not b.overlaps(a):
+    if b.hi < a.lo or a.hi < b.lo:
         return [b]
     pieces = []
     if b.lo < a.lo:
@@ -159,9 +156,12 @@ def interval_subtract(b: Interval, a: Interval) -> list[Interval]:
 
 def box_intersects(a: Box, b: Box) -> bool:
     """True iff the boxes share at least one packet (overlap on every attribute)."""
-    if a.p != b.p:
+    if len(a.intervals) != len(b.intervals):
         raise ArityError(f"boxes have {a.p} and {b.p} attributes")
-    return all(x.overlaps(y) for x, y in zip(a.intervals, b.intervals))
+    for x, y in zip(a.intervals, b.intervals):
+        if x.hi < y.lo or y.hi < x.lo:
+            return False
+    return True
 
 
 def box_subtract(b: Box, a: Box) -> list[Box]:
@@ -175,19 +175,18 @@ def box_subtract(b: Box, a: Box) -> list[Box]:
     identical, identically-ordered result.
 
     Returns [b] unchanged when the boxes are disjoint, and [] when a
-    covers b entirely.  The result has at most 2p boxes.
+    covers b entirely.  The result has at most 2p boxes, and reuses b's
+    own intervals wherever a covers them.
     """
     if not box_intersects(b, a):
         return [b]
     out: list[Box] = []
-    prefix: list[Interval] = []
-    for k in range(b.p):
-        b_k = b.intervals[k]
-        a_k = a.intervals[k]
+    prefix: tuple[Interval, ...] = ()
+    for k, (b_k, a_k) in enumerate(zip(b.intervals, a.intervals)):
         suffix = b.intervals[k + 1 :]
         for piece in interval_subtract(b_k, a_k):
-            out.append(Box(tuple(prefix) + (piece,) + suffix))
-        prefix.append(interval_intersect(b_k, a_k))
+            out.append(Box(prefix + (piece,) + suffix))
+        prefix += (b_k if a_k.lo <= b_k.lo and b_k.hi <= a_k.hi else interval_intersect(b_k, a_k),)
     return out
 
 
@@ -240,20 +239,15 @@ def box_bounds(boxes: Sequence[Box], p: int, dtype: type) -> tuple[np.ndarray, n
     return lo.reshape(len(boxes), p), hi.reshape(len(boxes), p)
 
 
-def rows_touching(lo: np.ndarray, hi: np.ndarray, box_lo: np.ndarray, box_hi: np.ndarray) -> np.ndarray:
-    """Boolean mask of the rows of the (m, p) bound arrays ``lo``/``hi`` whose
-    box shares a packet with the box bounded by ``box_lo``/``box_hi``."""
-    return ((lo <= box_hi) & (box_lo <= hi)).all(axis=1)
-
-
 _PAIR_BLOCK = 1 << 16  # candidate pairs tested per array operation
 
 
-def touching_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def touching_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair of rows of the (m, p) bound arrays whose boxes share a packet.
 
-    Returns symmetric CSR lists: row i's neighbours, ascending, are
-    ``nbr[ptr[i]:ptr[i + 1]]``.  A sort-and-sweep on the attribute where
+    Returns symmetric CSR lists ``(ptr, split, nbr)``: row i's neighbours,
+    ascending, are ``nbr[ptr[i]:ptr[i + 1]]``, those before it ending and
+    those after it starting at ``split[i]``.  A sort-and-sweep on the attribute where
     the fewest pairs overlap gives each row the rows sorted after it whose
     ``lo`` lies in its range there, so every pair is a candidate once;
     the candidates are then tested on all p attributes, a block at a time.
@@ -277,7 +271,7 @@ def touching_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
         first = np.repeat(np.arange(s, e), block)
         second = np.arange(len(first)) - np.repeat(np.cumsum(block) - block, block) + first + 1
         a, b = order[first], order[second]
-        hit = rows_touching(lo[a], hi[a], lo[b], hi[b])
+        hit = ((lo[a] <= hi[b]) & (lo[b] <= hi[a])).all(axis=1)
         a, b = a[hit], b[hit]
         keys += [a * m + b, b * m + a]
         s = e
@@ -285,8 +279,10 @@ def touching_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     del keys
     key.sort(kind="stable")
     ptr = np.searchsorted(key, np.arange(m + 1) * m)
+    # no row touches itself, so i * m + i falls between the keys of row i
+    split = np.searchsorted(key, np.arange(m) * (m + 1))
     np.remainder(key, max(m, 1), out=key)
-    return ptr, key
+    return ptr, split, key
 
 
 def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:
@@ -304,4 +300,4 @@ def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:
         min((iv.lo for b in boxes for iv in b.intervals), default=0),
         max((iv.hi for b in boxes for iv in b.intervals), default=0),
     )
-    return not len(touching_pairs(*box_bounds(boxes, p, dtype))[1])
+    return not len(touching_pairs(*box_bounds(boxes, p, dtype))[2])

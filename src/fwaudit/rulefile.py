@@ -31,13 +31,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .audit import AuditReport, AuditStats, RuleWarning, WarningKind
 from .errors import ArityError, DomainError, ParseError, ValidationError
-from .intervals import AttributeDomain, Box, DomainSpec, Interval, box_intersects
+from .intervals import AttributeDomain, Box, DomainSpec, Interval, box_intersects, boxes_pairwise_disjoint
 from .rules import Decision, Rule, Ruleset
 
 PROTOCOL_NAMES = {"tcp": 6, "udp": 17, "icmp": 1}
@@ -293,14 +294,24 @@ class ReportDocument:
                 *((_typed(a["name"], str), *_ints((a["lo"], a["hi"]))) for a in doc["domain"])
             )
             # Ruleset checks each box against the domain and the order values
-            rules = Ruleset(domain, tuple(
+            ruleset = Ruleset(domain, tuple(
                 Rule(
                     _typed(r["order"], int),
                     tuple(Box.from_pairs(*map(_ints, box)) for box in r["condition"]),
                     Decision(r["decision"]),
                 )
                 for r in doc["rules"]
-            )).rules
+            ))
+            if not all(boxes_pairwise_disjoint(r.condition) for r in ruleset.rules):
+                raise ValueError("the boxes of a rule overlap")
+            stats = AuditStats(
+                *_ints((st["input_rules"], st["output_rules"], st["output_boxes"])),
+                _typed(st["elapsed_ms"], int, float),
+            )
+            if not (stats.output_rules == len(ruleset.rules) <= stats.input_rules
+                    and stats.output_boxes == ruleset.total_boxes()
+                    and 0 <= stats.elapsed_ms < math.inf):
+                raise ValueError(f"stats {st} contradict the document")
             return cls(
                 tool_version=_typed(doc["tool_version"], str),
                 algorithm=_typed(doc["algorithm"], str),
@@ -310,11 +321,8 @@ class ReportDocument:
                     RuleWarning(_typed(w["rule"], int), WarningKind(w["kind"]))
                     for w in doc["warnings"]
                 ),
-                rules=rules,
-                stats=AuditStats(
-                    *_ints((st["input_rules"], st["output_rules"], st["output_boxes"])),
-                    _typed(st["elapsed_ms"], int, float),
-                ),
+                rules=ruleset.rules,
+                stats=stats,
             )
         except (KeyError, TypeError, ValueError, ArityError, DomainError) as e:
             # json.JSONDecodeError is a ValueError

@@ -7,9 +7,10 @@ touch their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import ArityError
 from .intervals import Box, DomainSpec, box_subtract
 
 
@@ -59,19 +60,32 @@ class Ruleset:
 
 
 def exclusion(b: Rule, a: Rule) -> Rule:
-    """Return a copy of rule b whose condition avoids everything a matches.
+    """Return rule b with a condition that avoids everything a matches.
 
     The result keeps b's decision and position, and its condition covers
     exactly the packets of b's condition that are in none of a's boxes.
     a's boxes are subtracted one at a time from the whole working set,
     which keeps the output pairwise disjoint even when a has several boxes.
+    Only a box that a box of a meets is split; when none is, the result is
+    b itself.
     """
-    working = list(b.condition)
+    working = b.condition
     for abox in a.condition:
         if not working:
             break
         refined: list[Box] = []
+        hit = False
         for wbox in working:
-            refined.extend(box_subtract(wbox, abox))
-        working = refined
-    return replace(b, condition=tuple(working))
+            for x, y in zip(wbox.intervals, abox.intervals):
+                if x.hi < y.lo or y.hi < x.lo:
+                    # zip stops at the shorter box, so a miss checks the arity
+                    if len(wbox.intervals) != len(abox.intervals):
+                        raise ArityError(f"boxes have {wbox.p} and {abox.p} attributes")
+                    refined.append(wbox)
+                    break
+            else:
+                refined.extend(box_subtract(wbox, abox))
+                hit = True
+        if hit:
+            working = tuple(refined)
+    return b if working is b.condition else Rule(b.position, working, b.decision)

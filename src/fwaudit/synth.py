@@ -10,15 +10,12 @@ accounting.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .intervals import (
-    AttributeDomain, Box, DomainSpec, Interval, bounds_dtype, box_bounds, rows_touching
-)
+from .intervals import AttributeDomain, Box, DomainSpec, Interval, box_intersects
 from .rules import Decision, Rule, Ruleset
 
 _FRESH_TRIES = 10_000
@@ -88,9 +85,11 @@ def generate(prof: GeneratorProfile, n: int, domain: DomainSpec) -> Ruleset:
     rng = random.Random(prof.seed)
     boxes: list[Box] = []
     rules: list[Rule] = []
-    dtype = bounds_dtype(min(a.lo for a in domain.attributes), max(a.hi for a in domain.attributes))
-    lo = np.empty((n, domain.p), dtype=dtype)
-    hi = np.empty((n, domain.p), dtype=dtype)
+    # (lower bound, row) of the boxes so far on the widest attribute, sorted,
+    # and the widest interval there: a fresh draw is tested only against them
+    wide = max(range(domain.p), key=lambda k: domain.attributes[k].hi - domain.attributes[k].lo)
+    starts: list[tuple[int, int]] = []
+    widest = 0
     for k in range(1, n + 1):
         if boxes and rng.random() < prof.overlap_probability:
             parent = boxes[rng.randrange(len(boxes))]
@@ -101,19 +100,26 @@ def generate(prof: GeneratorProfile, n: int, domain: DomainSpec) -> Ruleset:
                 )
             )
         else:
-            box = _fresh_disjoint_box(rng, domain, lo[: k - 1], hi[: k - 1])
+            box = _fresh_disjoint_box(rng, domain, boxes, starts, wide, widest)
         decision = Decision.ACCEPT if rng.random() < 0.5 else Decision.DENY
         rules.append(Rule(k, (box,), decision))
         boxes.append(box)
-        lo[k - 1 : k], hi[k - 1 : k] = box_bounds([box], domain.p, dtype)
+        bisect.insort(starts, (box.intervals[wide].lo, k - 1))
+        widest = max(widest, box.intervals[wide].size)
     return Ruleset(domain, tuple(rules))
 
 
-def _fresh_disjoint_box(rng: random.Random, domain: DomainSpec, lo: np.ndarray, hi: np.ndarray) -> Box:
-    """A random box that touches none of the boxes bounded by the rows of lo/hi."""
+def _fresh_disjoint_box(
+    rng: random.Random, domain: DomainSpec, boxes: list[Box], starts: list, wide: int, widest: int
+) -> Box:
+    """A random box that touches none of ``boxes``; one that starts ``widest`` or
+    more before the draw on attribute ``wide``, or after it, cannot touch it."""
     for _ in range(_FRESH_TRIES):
         box = Box(tuple(_fresh_interval(rng, a) for a in domain.attributes))
-        if not rows_touching(lo, hi, *box_bounds([box], domain.p, lo.dtype)).any():
+        iv = box.intervals[wide]
+        first = bisect.bisect_left(starts, (iv.lo - widest + 1,))
+        near = starts[first : bisect.bisect_right(starts, (iv.hi, len(boxes)))]
+        if not any(box_intersects(box, boxes[j]) for _, j in near):
             return box
     raise ValueError(
         f"no disjoint box found in {_FRESH_TRIES} tries; the domain is too crowded"

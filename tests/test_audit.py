@@ -1,7 +1,6 @@
 import random
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from fwaudit import (
@@ -14,13 +13,14 @@ from fwaudit import (
     equivalent,
     find_redundant,
     find_shadowed,
-    probe_redundancy,
     rewrite,
 )
-from fwaudit.audit import RewriteMode, RuleWarning, WarningKind, _exclude_forward, _hull, _Hulls
+from fwaudit.audit import (
+    RewriteMode, RuleWarning, WarningKind, _absorbed_by_later, _exclude_forward, _hull, _Hulls
+)
 from fwaudit.intervals import boxes_pairwise_disjoint, coalesce
-from fwaudit.rules import Decision
-from fwaudit.synth import worst_case_family
+from fwaudit.rules import Decision, exclusion
+from fwaudit.synth import generate, profile, worst_case_family
 
 from conftest import SD, box, rule
 
@@ -85,6 +85,12 @@ class TestDetection:
                 assert coalesce(r.condition) == list(r.condition)
 
 
+def absorbed(ruleset, i):
+    """Probe rule i (1-based) of a ruleset for absorption by later same-decision rules."""
+    rules = list(ruleset.rules)
+    return _absorbed_by_later(rules, _Hulls.of(rules, ruleset.domain), i - 1)
+
+
 class TestTestRedundancy:
     @pytest.fixture
     def after_phase1(self):
@@ -101,24 +107,20 @@ class TestTestRedundancy:
         )
 
     def test_absorbed_rule(self, after_phase1):
-        assert probe_redundancy(after_phase1, 2) is True
+        # every corner of R2 is covered, so the full probe runs
+        assert absorbed(after_phase1, 2) is True
 
     def test_not_absorbed(self, after_phase1):
-        assert probe_redundancy(after_phase1, 1) is False
+        # R4 touches R1 but misses its corner (1, 20): the escape answers
+        assert absorbed(after_phase1, 1) is False
 
     def test_last_rule_never_absorbed(self, after_phase1):
-        assert probe_redundancy(after_phase1, 5) is False
+        assert absorbed(after_phase1, 5) is False
 
     def test_probe_does_not_mutate(self, after_phase1):
         before = after_phase1.rules
-        probe_redundancy(after_phase1, 2)
+        absorbed(after_phase1, 2)
         assert after_phase1.rules == before
-
-    def test_index_out_of_range(self, after_phase1):
-        with pytest.raises(IndexError):
-            probe_redundancy(after_phase1, 0)
-        with pytest.raises(IndexError):
-            probe_redundancy(after_phase1, 6)
 
 
 class TestCompleteDetection:
@@ -219,14 +221,12 @@ class TestCompleteDetection:
 
 class TestHulls:
     def test_hull_is_min_max_of_boxes(self):
-        lo, hi = _hull(rule(1, "accept", ((1, 2), (5, 9)), ((4, 8), (0, 3))), 2, np.int64)
-        assert lo.tolist() == [1, 0] and hi.tolist() == [8, 9]
-        # beyond int64 the bounds are Python integers and stay exact
+        lo, hi = _hull(rule(1, "accept", ((1, 2), (5, 9)), ((4, 8), (0, 3))))
+        assert lo == (1, 0) and hi == (8, 9)
+        # beyond int64 the bounds stay exact Python integers
         big = 2**64
         wide = rule(1, "accept", ((-big, 2), (5, big + 9)), ((4, big), (0, 3)))
-        lo, hi = _hull(wide, 2, object)
-        assert lo.dtype == object
-        assert lo.tolist() == [-big, 0] and hi.tolist() == [big, big + 9]
+        assert _hull(wide) == ((-big, 0), (big, big + 9))
 
     @pytest.mark.parametrize("shift", [0, 2**64], ids=["int64", "object"])
     def test_row_follows_a_split(self, shift):
@@ -240,11 +240,47 @@ class TestHulls:
             shifted(2, "accept", ((1, 10), (1, 10)), ((20, 30), (20, 30))),
         ]
         hulls = _Hulls.of(rules, dom)
+        assert hulls.touching(0, True) == [1] and hulls.touching(1, False) == [0]
         _exclude_forward(rules, hulls, [None, None], 0, None)
         assert rules[1] == shifted(2, "accept", ((1, 10), (1, 10)), ((20, 24), (20, 30)))
         boxes = rules[1].condition
-        assert hulls.lo[1].tolist() == [min(b.intervals[k].lo for b in boxes) for k in range(2)]
-        assert hulls.hi[1].tolist() == [max(b.intervals[k].hi for b in boxes) for k in range(2)]
+        assert hulls.lo[1] == tuple(min(b.intervals[k].lo for b in boxes) for k in range(2))
+        assert hulls.hi[1] == tuple(max(b.intervals[k].hi for b in boxes) for k in range(2))
+
+
+def _reference_absorbed(rules, hulls, i):
+    # the plain subtraction walk over the rows the probe is given
+    rest = rules[i]
+    for j in hulls.touching(i, True, same_decision=True):
+        rest = exclusion(rest, rules[j])
+    return rest.is_empty
+
+
+def _probe_corpus():
+    dom = DomainSpec.of(("s", 0, 63), ("d", 0, 63))
+    for seed in range(1000):
+        yield f"random seed {seed}", _random_ruleset(seed, dom)
+    for seed in range(3):
+        yield f"expert seed {seed}", generate(profile("expert", seed), 250, DomainSpec.five_tuple())
+
+
+def test_corner_escape_is_exact():
+    # on the input rules and again once phase 1 has split them into
+    # several boxes, the escape never changes the probe's answer
+    answers = set()
+    for label, rs in _probe_corpus():
+        rules = list(rs.rules)
+        hulls = _Hulls.of(rules, rs.domain)
+        for phase1 in (False, True):
+            if phase1:
+                for i in range(len(rules) - 1):
+                    _exclude_forward(rules, hulls, [None] * len(rules), i, False)
+            for i, r in enumerate(rules):
+                if not r.is_empty:
+                    got = _absorbed_by_later(rules, hulls, i)
+                    assert got == _reference_absorbed(rules, hulls, i), f"{label}, rule {i + 1}"
+                    answers.add(got)
+    assert answers == {True, False}
 
 
 class TestRewrite:
@@ -400,6 +436,11 @@ class TestAuditProperties:
             dead = {k for k, r in enumerate(rules) if r.is_empty}
             assert all(hulls.ptr[k] == hulls.ptr[k + 1] for k in dead), f"seed {seed}"
             assert not dead & set(hulls.nbr.tolist()), f"seed {seed}"
+            for k in range(len(rules)):
+                assert hulls.ptr[k] <= hulls.split[k] <= hulls.ptr[k + 1], f"seed {seed}"
+                earlier = hulls.nbr[hulls.ptr[k] : hulls.split[k]].tolist()
+                later = hulls.nbr[hulls.split[k] : hulls.ptr[k + 1]].tolist()
+                assert all(j < k for j in earlier) and all(j > k for j in later), f"seed {seed}"
             assert warn_set(complete_detection(rs)) == _brute_force_labels(rs), f"seed {seed}"
             report = detection(rs)
             assert {w.position for w in report.warnings} == find_shadowed(rs), f"seed {seed}"

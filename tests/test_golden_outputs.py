@@ -2,8 +2,9 @@
 
 Every command the CLI offers runs in-process on a fixed set of inputs:
 the Table 1 fixture, the three officer profiles generated by ``gen`` on
-the five-tuple domain and on a small ``--domain``, and three members of
-the worst-case family.  Each output, prefixed with its exit code, is
+the five-tuple domain and on a small ``--domain``, the dense expert
+profile at n = 250 on the five-tuple domain, and three members of the
+worst-case family.  Each output, prefixed with its exit code, is
 hashed after normalizing only the fields that vary between runs
 (``elapsed_ms``, ``elapsed:`` and ``tool_version``).  A refactor that
 keeps behaviour leaves every digest unchanged; a change that means to
@@ -74,7 +75,8 @@ def _input(name: str, tmp: Path) -> tuple[Path, dict[str, str], tuple[str, ...]]
         argv += ["--count", "25", "--domain", SMALL_DOMAIN]
         check = ()
     else:
-        argv += ["--count", "60"]
+        # "five" is the five-tuple domain at n = 60, a number the count
+        argv += ["--count", "60" if where == "five" else where]
         check = SAMPLED_CHECK
     code, _ = _run(*argv)
     return path, {"gen": _digest(code, path.read_text(encoding="utf-8"))}, check
@@ -122,6 +124,7 @@ CASES = (
     "table1",
     *(f"{p}-five" for p in PROFILES),
     *(f"{p}-small" for p in PROFILES),
+    "expert-250",
     *(f"worst-{n}x{p}" for n, p in WORST_CASES),
     "bench",
 )
@@ -196,6 +199,16 @@ GOLDEN = {
         "rewrite-positive": "a50730ae204053cd3decb12ff959cd0a3688999fbc29609d46cd9d20c89cd53b",
         "rewrite-negative": "3eee01b5030c850b341e91f93bfc2ff22124ea6eb1bed2a8f9bb6ebf593764fa",
         "check": "2fe7520fe76c7fcdb53e8b54abeb6070cf0a50a0e2033262f8bfbeba5c0cc472"
+    },
+    "expert-250": {
+        "gen": "47f89e7e574ccb37df5d29b2e6f10feece5afdf5fb3bac392be8090950785886",
+        "audit-detection-text": "e33601de29fa1422ccea0d3da536d31abe35dc694f4aaffcaf7081205d4d6c50",
+        "audit-detection-json": "cf0289ba99bc3dedb819c94f3e9692458283821d2170294710cefb9829095a12",
+        "audit-complete-text": "f6b0b8bf64bbfdc673aea9ef5454bb7a32d875fe2a7f160b45a967b89d37b1f3",
+        "audit-complete-json": "0e7ef6c3dcb5aa0775b2f586b58eb7512b598c872fcbd1013262f5bd241c7226",
+        "rewrite-positive": "c9ab27491d14a3dff19d6b29bdfba4839ff374e361784c233e98c8bf295c1c5d",
+        "rewrite-negative": "6a4812028e0d8346997b87046489c1a88344a50ea2c14899f1063816b64a4f65",
+        "check": "6daa2abafcbff244c54e5f74e2cf4a8ee09428ba18551f5322ecf65e0857e4a1"
     },
     "worst-4x2": {
         "audit-detection-text": "96ab8611882c89c7e3e012ea3c03828594d5ed27b8e2565e879565326a05bbc9",

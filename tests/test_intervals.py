@@ -184,11 +184,12 @@ class TestHelpers:
         # full-range intervals are common; WIDE_VALUES forces object bounds
         boxes = data.draw(st.lists(edge_boxes_st(p, values), max_size=10))
         dtype = bounds_dtype(min(values), max(values))
-        ptr, nbr = touching_pairs(*box_bounds(boxes, p, dtype))
-        assert len(ptr) == len(boxes) + 1
+        ptr, split, nbr = touching_pairs(*box_bounds(boxes, p, dtype))
+        assert len(ptr) == len(boxes) + 1 and len(split) == len(boxes)
         for i, a in enumerate(boxes):
             expected = [j for j, b in enumerate(boxes) if j != i and box_intersects(a, b)]
             assert nbr[ptr[i] : ptr[i + 1]].tolist() == expected
+            assert nbr[ptr[i] : split[i]].tolist() == [j for j in expected if j < i]
 
     @given(data=st.data())
     def test_pairwise_disjoint_mixed_arity_raises(self, data):

@@ -241,6 +241,17 @@ class TestReports:
         ]},
         # a repeated order value
         lambda doc: {**doc, "rules": [doc["rules"][0], doc["rules"][0]]},
+        # a rule whose boxes overlap each other
+        lambda doc: {**doc, "rules": [
+            {**doc["rules"][0], "condition": doc["rules"][0]["condition"] * 2}, *doc["rules"][1:]
+        ]},
+        # stats that contradict the document
+        lambda doc: {**doc, "stats": {**doc["stats"], "output_rules": 99}},
+        lambda doc: {**doc, "stats": {**doc["stats"], "output_boxes": doc["stats"]["output_boxes"] + 1}},
+        lambda doc: {**doc, "stats": {**doc["stats"], "input_rules": doc["stats"]["output_rules"] - 1}},
+        lambda doc: {**doc, "stats": {**doc["stats"], "elapsed_ms": -1.0}},
+        lambda doc: {**doc, "stats": {**doc["stats"], "elapsed_ms": float("inf")}},
+        lambda doc: {**doc, "stats": {**doc["stats"], "elapsed_ms": float("nan")}},
     ])
     def test_malformed_json_report_is_parse_error(self, mutate):
         report, text = self._report()
