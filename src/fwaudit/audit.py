@@ -19,17 +19,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import numpy as np
-
 from .errors import DisjointnessError
-from .intervals import (
-    DomainSpec,
-    bounds_dtype,
-    box_intersects,
-    boxes_pairwise_disjoint,
-    coalesce,
-    touching_pairs,
-)
+from .intervals import box_intersects, boxes_pairwise_disjoint, coalesce, touching_pairs
 from .rules import Decision, Rule, Ruleset, exclusion
 
 
@@ -128,31 +119,22 @@ class _Hulls:
     hi: list[tuple[int, ...] | None]
     accept: list[bool]
     alive: list[bool]
-    nbr: np.ndarray
+    nbr: list[int]
     ptr: list[int]
     split: list[int]
 
     @classmethod
-    def of(cls, rules: Sequence[Rule], domain: DomainSpec) -> _Hulls:
+    def of(cls, rules: Sequence[Rule]) -> _Hulls:
         n = len(rules)
         alive = [not r.is_empty for r in rules]
-        live = [i for i in range(n) if alive[i]]
         lo, hi = [None] * n, [None] * n
-        for i in live:
-            lo[i], hi[i] = _hull(rules[i])
-        # the index is built once, on bound arrays of the live rows
-        attrs = domain.attributes
-        dtype = bounds_dtype(min(a.lo for a in attrs), max(a.hi for a in attrs))
-        ptr, split, nbr = touching_pairs(*(
-            np.array([c[i] for i in live], dtype).reshape(len(live), domain.p) for c in (lo, hi)
-        ))
-        # back to row numbers; a dead row's list is empty
-        live = np.array(live, dtype=np.int64)
-        ptr = ptr[np.searchsorted(live, np.arange(n + 1))]
-        row_split = ptr[:-1].copy()
-        row_split[live] = split
+        for i in range(n):
+            if alive[i]:
+                lo[i], hi[i] = _hull(rules[i])
+        # the index is built once; a dead row's list is empty
+        ptr, split, nbr = touching_pairs(lo, hi)
         accept = [r.decision == Decision.ACCEPT for r in rules]
-        return cls(lo, hi, accept, alive, live[nbr], ptr.tolist(), row_split.tolist())
+        return cls(lo, hi, accept, alive, nbr, ptr, split)
 
     def copy(self) -> _Hulls:
         return replace(self, lo=list(self.lo), hi=list(self.hi), alive=list(self.alive))
@@ -182,7 +164,7 @@ class _Hulls:
         # the decision a kept row must have, if one is asked for
         want = None if same_decision is None else accept[i] == same_decision
         rows = []
-        for j in self.nbr[start:stop].tolist():
+        for j in self.nbr[start:stop]:
             if alive[j] and (want is None or accept[j] == want) and (mask is None or mask[j]):
                 for jl, jh, l, h in zip(lo[j], hi[j], blo, bhi):
                     if jh < l or h < jl:
@@ -228,7 +210,7 @@ def detection(ruleset: Ruleset) -> AuditReport:
     """
     t0 = time.perf_counter()
     rules = list(ruleset.rules)
-    hulls = _Hulls.of(rules, ruleset.domain)
+    hulls = _Hulls.of(rules)
     kinds = _empty_input_labels(rules)
     for i in range(len(rules) - 1):
         _exclude_forward(rules, hulls, kinds, i, None)
@@ -327,7 +309,7 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     t0 = time.perf_counter()
     original = ruleset.rules
     rules = list(original)
-    hulls = _Hulls.of(rules, ruleset.domain)
+    hulls = _Hulls.of(rules)
     original_hulls = hulls.copy()
     is_shadowed = functools.cache(lambda j: _shadowed_in(original, original_hulls, j))
     kinds = _empty_input_labels(rules)

@@ -12,10 +12,10 @@ an empty list for boxes), never by an inverted interval.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 from .errors import ArityError, DomainError
 
@@ -223,66 +223,60 @@ def coalesce(boxes: Sequence[Box]) -> list[Box]:
     return [b if b is not None else Box.from_pairs(*pairs) for pairs, b in rows]
 
 
-_INT64 = np.iinfo(np.int64)
-
-
-def bounds_dtype(lo: int, hi: int) -> type:
-    """Array dtype that holds every integer in [lo, hi] exactly: int64 when
-    the range fits, else ``object``, whose Python integers never overflow."""
-    return np.int64 if _INT64.min <= lo and hi <= _INT64.max else object
-
-
-def box_bounds(boxes: Sequence[Box], p: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds of p-attribute boxes as two (len(boxes), p) arrays."""
-    lo = np.array([[iv.lo for iv in b.intervals] for b in boxes], dtype=dtype)
-    hi = np.array([[iv.hi for iv in b.intervals] for b in boxes], dtype=dtype)
-    return lo.reshape(len(boxes), p), hi.reshape(len(boxes), p)
-
-
-_PAIR_BLOCK = 1 << 16  # candidate pairs tested per array operation
-
-
-def touching_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair of rows of the (m, p) bound arrays whose boxes share a packet.
+def touching_pairs(
+    lo: Sequence[tuple[int, ...] | None], hi: Sequence[tuple[int, ...] | None]
+) -> tuple[list[int], list[int], list[int]]:
+    """Every pair of rows of the corner lists whose boxes share a packet;
+    a row whose corners are None takes part in no pair.
 
     Returns symmetric CSR lists ``(ptr, split, nbr)``: row i's neighbours,
     ascending, are ``nbr[ptr[i]:ptr[i + 1]]``, those before it ending and
-    those after it starting at ``split[i]``.  A sort-and-sweep on the attribute where
-    the fewest pairs overlap gives each row the rows sorted after it whose
-    ``lo`` lies in its range there, so every pair is a candidate once;
-    the candidates are then tested on all p attributes, a block at a time.
+    those after it starting at ``split[i]``.  A sort-and-sweep on the
+    attribute where the fewest pairs overlap gives each row the rows
+    sorted after it whose ``lo`` lies in its range there, so every pair is
+    a candidate once.  The other attributes then filter the candidates,
+    fewest overlapping pairs first, each skipped for a row whose range
+    there meets every row's.
     """
-    m = len(lo)
-    best = None
-    for k in range(lo.shape[1]):
-        order = np.argsort(lo[:, k], kind="stable")
-        stop = np.searchsorted(lo[order, k], hi[order, k], side="right")
-        count = int(stop.sum()) - m * (m + 1) // 2
-        if best is None or count < best[0]:
-            best = count, order, stop
-    _, order, stop = best
-    counts = stop - np.arange(1, m + 1)
-    ends = np.cumsum(counts)
-    keys = []
-    s = 0
-    while s < m:
-        e = max(s + 1, int(np.searchsorted(ends, ends[s] - counts[s] + _PAIR_BLOCK, side="right")))
-        block = counts[s:e]
-        first = np.repeat(np.arange(s, e), block)
-        second = np.arange(len(first)) - np.repeat(np.cumsum(block) - block, block) + first + 1
-        a, b = order[first], order[second]
-        hit = ((lo[a] <= hi[b]) & (lo[b] <= hi[a])).all(axis=1)
-        a, b = a[hit], b[hit]
-        keys += [a * m + b, b * m + a]
-        s = e
-    key = np.concatenate(keys) if keys else np.zeros(0, np.int64)
-    del keys
-    key.sort(kind="stable")
-    ptr = np.searchsorted(key, np.arange(m + 1) * m)
-    # no row touches itself, so i * m + i falls between the keys of row i
-    split = np.searchsorted(key, np.arange(m) * (m + 1))
-    np.remainder(key, max(m, 1), out=key)
-    return ptr, split, key
+    rows = [i for i, c in enumerate(lo) if c is not None]
+    adj: list[list[int]] = [[] for _ in lo]
+    if rows:
+        # one (lo, hi) column pair per attribute, None on the rows left out
+        p = len(lo[rows[0]])
+        cols = [([c and c[t] for c in lo], [c and c[t] for c in hi]) for t in range(p)]
+
+        def overlapping(t: int) -> int:
+            # ordered pairs (i, j) with lo_j <= hi_i on attribute t
+            los, his = cols[t]
+            keys = sorted(map(los.__getitem__, rows))
+            return sum(bisect_right(keys, his[i]) for i in rows)
+
+        k, *rest = sorted(range(p), key=overlapping)
+        rows.sort(key=cols[k][0].__getitem__)
+        keys = list(map(cols[k][0].__getitem__, rows))
+        top = [max(map(los.__getitem__, rows)) for los, _ in cols]
+        bottom = [min(map(his.__getitem__, rows)) for _, his in cols]
+        for start, a in enumerate(rows, 1):
+            la, ha = lo[a], hi[a]
+            stop = bisect_right(keys, ha[k], start)
+            if stop == start:
+                continue
+            hits = rows[start:stop]
+            for t in rest:
+                l, h = la[t], ha[t]
+                if hits and (h < top[t] or l > bottom[t]):
+                    los, his = cols[t]
+                    hits = [b for b in hits if los[b] <= h and l <= his[b]]
+            adj[a] += hits
+            for b in hits:
+                adj[b].append(a)
+    ptr, split, total = [0], [], 0
+    for i, row in enumerate(adj):
+        row.sort()
+        split.append(total + bisect_left(row, i))
+        total += len(row)
+        ptr.append(total)
+    return ptr, split, list(chain.from_iterable(adj))
 
 
 def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:
@@ -296,8 +290,6 @@ def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:
     for b in boxes:
         if b.p != p:
             raise ArityError(f"boxes have {p} and {b.p} attributes")
-    dtype = bounds_dtype(
-        min((iv.lo for b in boxes for iv in b.intervals), default=0),
-        max((iv.hi for b in boxes for iv in b.intervals), default=0),
-    )
-    return not len(touching_pairs(*box_bounds(boxes, p, dtype))[2])
+    lo = [tuple(iv.lo for iv in b.intervals) for b in boxes]
+    hi = [tuple(iv.hi for iv in b.intervals) for b in boxes]
+    return not touching_pairs(lo, hi)[2]

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, DomainTooLargeError
-from .intervals import DomainSpec, bounds_dtype
+from .intervals import DomainSpec
 from .rules import Decision, Rule, Ruleset
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -70,6 +72,7 @@ def _grid_shape(domain: DomainSpec) -> tuple[int, ...]:
 def _first_match_grid(domain: DomainSpec, rules: tuple[Rule, ...]) -> np.ndarray:
     """Grid over the whole packet space holding the first matching rule's
     index into ``rules``, or -1 where nothing matches."""
+    import numpy as np
     grid = np.full(_grid_shape(domain), -1, dtype=np.int32)
     for idx, rule in enumerate(rules):
         for box in rule.condition:
@@ -84,11 +87,13 @@ def _first_match_grid(domain: DomainSpec, rules: tuple[Rule, ...]) -> np.ndarray
 
 
 def _outcome_grid(domain: DomainSpec, rules: tuple[Rule, ...]) -> np.ndarray:
+    import numpy as np
     codes = np.array([_OUTCOME_CODE[r.decision] for r in rules] + [-1], dtype=np.int8)
     return codes[_first_match_grid(domain, rules)]
 
 
 def _first_difference(domain: DomainSpec, a: np.ndarray, b: np.ndarray) -> Packet | None:
+    import numpy as np
     diff = np.flatnonzero(a.ravel() != b.ravel())
     if diff.size == 0:
         return None
@@ -99,6 +104,7 @@ def _first_difference(domain: DomainSpec, a: np.ndarray, b: np.ndarray) -> Packe
 
 
 def _apply_default(grid: np.ndarray, default: Decision | None) -> np.ndarray:
+    import numpy as np
     if default is None:
         return grid
     return np.where(grid == -1, _OUTCOME_CODE[default], grid)
@@ -123,6 +129,7 @@ def equivalent(r1: Ruleset, r2: Ruleset, *, default: Decision | None = None) -> 
 
 def find_shadowed(ruleset: Ruleset) -> set[int]:
     """Positions of rules that are never any packet's first match."""
+    import numpy as np
     _check_budget(ruleset.domain)
     grid = _first_match_grid(ruleset.domain, ruleset.rules)
     reached = set(np.unique(grid).tolist())
@@ -138,7 +145,7 @@ def find_redundant(ruleset: Ruleset) -> set[int]:
         if rule.position in shadowed:
             continue
         rest = ruleset.rules[:idx] + ruleset.rules[idx + 1 :]
-        if np.array_equal(base, _outcome_grid(ruleset.domain, rest)):
+        if (base == _outcome_grid(ruleset.domain, rest)).all():
             redundant.add(rule.position)
     return redundant
 
@@ -157,6 +164,7 @@ def _sample_outcomes(
     holds the argsort of each column some box has picked; callers share
     it between rulesets checked on the same columns.
     """
+    import numpy as np
     widths = [a.hi - a.lo + 1 for a in domain.attributes]
     out = np.full(columns[0].size, -1, dtype=np.int8)
     for rule in rules:
@@ -181,8 +189,9 @@ def _sample_outcomes(
 
 def _sample_columns(domain: DomainSpec, samples: int, seed: int) -> list[np.ndarray]:
     """Seeded uniform random packets, one int64 column per attribute."""
+    import numpy as np
     for a in domain.attributes:
-        if bounds_dtype(a.lo, a.hi) is not np.int64:
+        if not -(2**63) <= a.lo <= a.hi < 2**63:
             raise DomainError(
                 f"attribute {a.name} [{a.lo},{a.hi}] does not fit in 64-bit integers; "
                 "sampling draws int64 packets"
@@ -209,7 +218,7 @@ def sample_equivalent(r1: Ruleset, r2: Ruleset, samples: int, seed: int) -> Equi
     orders: dict[int, np.ndarray] = {}
     o1 = _sample_outcomes(r1.domain, r1.rules, columns, orders)
     o2 = _sample_outcomes(r2.domain, r2.rules, columns, orders)
-    diff = np.flatnonzero(o1 != o2)
+    diff = (o1 != o2).nonzero()[0]
     if diff.size == 0:
         return EquivalenceResult(True)
     first = int(diff[0])

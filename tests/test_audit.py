@@ -88,7 +88,7 @@ class TestDetection:
 def absorbed(ruleset, i):
     """Probe rule i (1-based) of a ruleset for absorption by later same-decision rules."""
     rules = list(ruleset.rules)
-    return _absorbed_by_later(rules, _Hulls.of(rules, ruleset.domain), i - 1)
+    return _absorbed_by_later(rules, _Hulls.of(rules), i - 1)
 
 
 class TestTestRedundancy:
@@ -239,7 +239,7 @@ class TestHulls:
             shifted(1, "deny", ((25, 40), (1, 100))),
             shifted(2, "accept", ((1, 10), (1, 10)), ((20, 30), (20, 30))),
         ]
-        hulls = _Hulls.of(rules, dom)
+        hulls = _Hulls.of(rules)
         assert hulls.touching(0, True) == [1] and hulls.touching(1, False) == [0]
         _exclude_forward(rules, hulls, [None, None], 0, None)
         assert rules[1] == shifted(2, "accept", ((1, 10), (1, 10)), ((20, 24), (20, 30)))
@@ -270,7 +270,7 @@ def test_corner_escape_is_exact():
     answers = set()
     for label, rs in _probe_corpus():
         rules = list(rs.rules)
-        hulls = _Hulls.of(rules, rs.domain)
+        hulls = _Hulls.of(rules)
         for phase1 in (False, True):
             if phase1:
                 for i in range(len(rules) - 1):
@@ -432,14 +432,14 @@ class TestAuditProperties:
                 for k, r in enumerate(rs.rules)
             ]
             rs = Ruleset(dom, tuple(rules))
-            hulls = _Hulls.of(rules, dom)
+            hulls = _Hulls.of(rules)
             dead = {k for k, r in enumerate(rules) if r.is_empty}
             assert all(hulls.ptr[k] == hulls.ptr[k + 1] for k in dead), f"seed {seed}"
-            assert not dead & set(hulls.nbr.tolist()), f"seed {seed}"
+            assert not dead & set(hulls.nbr), f"seed {seed}"
             for k in range(len(rules)):
                 assert hulls.ptr[k] <= hulls.split[k] <= hulls.ptr[k + 1], f"seed {seed}"
-                earlier = hulls.nbr[hulls.ptr[k] : hulls.split[k]].tolist()
-                later = hulls.nbr[hulls.split[k] : hulls.ptr[k + 1]].tolist()
+                earlier = hulls.nbr[hulls.ptr[k] : hulls.split[k]]
+                later = hulls.nbr[hulls.split[k] : hulls.ptr[k + 1]]
                 assert all(j < k for j in earlier) and all(j > k for j in later), f"seed {seed}"
             assert warn_set(complete_detection(rs)) == _brute_force_labels(rs), f"seed {seed}"
             report = detection(rs)

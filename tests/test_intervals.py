@@ -14,7 +14,7 @@ from fwaudit import (
     interval_intersect,
     interval_subtract,
 )
-from fwaudit.intervals import bounds_dtype, box_bounds, coalesce, touching_pairs
+from fwaudit.intervals import coalesce, touching_pairs
 
 from conftest import box
 
@@ -177,19 +177,22 @@ class TestHelpers:
         expected = not any(box_intersects(a, b) for a, b in itertools.combinations(boxes, 2))
         assert boxes_pairwise_disjoint(boxes) == expected
 
-    @pytest.mark.parametrize("p, values", [(1, EDGE_VALUES), (3, EDGE_VALUES), (2, WIDE_VALUES)])
+    @pytest.mark.parametrize(
+        "p, values", [(1, EDGE_VALUES), (3, EDGE_VALUES), (5, EDGE_VALUES), (2, WIDE_VALUES)]
+    )
     @given(data=st.data())
     def test_touching_pairs_matches_all_pairs(self, p, values, data):
         # few distinct endpoints: equal lo values, single-point contact and
-        # full-range intervals are common; WIDE_VALUES forces object bounds
+        # full-range intervals are common; WIDE_VALUES reach beyond 64 bits
         boxes = data.draw(st.lists(edge_boxes_st(p, values), max_size=10))
-        dtype = bounds_dtype(min(values), max(values))
-        ptr, split, nbr = touching_pairs(*box_bounds(boxes, p, dtype))
+        lo = [tuple(iv.lo for iv in b.intervals) for b in boxes]
+        hi = [tuple(iv.hi for iv in b.intervals) for b in boxes]
+        ptr, split, nbr = touching_pairs(lo, hi)
         assert len(ptr) == len(boxes) + 1 and len(split) == len(boxes)
         for i, a in enumerate(boxes):
             expected = [j for j, b in enumerate(boxes) if j != i and box_intersects(a, b)]
-            assert nbr[ptr[i] : ptr[i + 1]].tolist() == expected
-            assert nbr[ptr[i] : split[i]].tolist() == [j for j in expected if j < i]
+            assert nbr[ptr[i] : ptr[i + 1]] == expected
+            assert nbr[ptr[i] : split[i]] == [j for j in expected if j < i]
 
     @given(data=st.data())
     def test_pairwise_disjoint_mixed_arity_raises(self, data):
