@@ -280,7 +280,7 @@ class ReportDocument:
             ],
             "stats": asdict(self.stats),
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> ReportDocument:
