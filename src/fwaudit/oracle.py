@@ -5,7 +5,8 @@ first-match semantics and checks it point by point, independently of the
 interval algebra the transforms are built on.  Exhaustive checks
 materialize the whole packet space as a dense grid of at most
 ``DEFAULT_BUDGET`` packets; sampled checks draw seeded random packets
-and are advisory only.
+and are advisory only.  Both run on numpy, imported inside the
+functions that use it, so the rest of the package never loads it.
 """
 
 from __future__ import annotations
