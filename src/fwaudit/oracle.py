@@ -105,9 +105,9 @@ def _first_difference(domain: DomainSpec, a: np.ndarray, b: np.ndarray) -> Packe
 
 
 def _apply_default(grid: np.ndarray, default: Decision | None) -> np.ndarray:
-    import numpy as np
     if default is None:
         return grid
+    import numpy as np
     return np.where(grid == -1, _OUTCOME_CODE[default], grid)
 
 

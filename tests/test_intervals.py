@@ -178,7 +178,7 @@ class TestHelpers:
         assert boxes_pairwise_disjoint(boxes) == expected
 
     @pytest.mark.parametrize(
-        "p, values", [(1, EDGE_VALUES), (3, EDGE_VALUES), (5, EDGE_VALUES), (2, WIDE_VALUES)]
+        "p, values", [(1, EDGE_VALUES), (3, EDGE_VALUES), (2, WIDE_VALUES), (5, EDGE_VALUES)]
     )
     @given(data=st.data())
     def test_touching_pairs_matches_all_pairs(self, p, values, data):
