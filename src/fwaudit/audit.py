@@ -20,8 +20,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import DisjointnessError
-from .intervals import box_intersects, boxes_pairwise_disjoint, coalesce, touching_pairs
-from .rules import Decision, Rule, Ruleset, exclusion
+from .intervals import Box, Pairs, boxes_pairwise_disjoint, coalesce, exclude, hull, touching_pairs
+# perfbench wraps these two where the audit imports them; the audit calls neither
+from .intervals import box_intersects  # noqa: F401
+from .rules import Decision, Rule, Ruleset, exclusion  # noqa: F401
 
 
 class WarningKind(str, Enum):
@@ -67,12 +69,16 @@ class AuditReport:
 
 
 def _assemble(
-    algorithm: str, original: Ruleset, rules: list[Rule], kinds: list[WarningKind | None], t0: float
+    algorithm: str, original: Ruleset, inputs: list, conds: list, kinds: list, t0: float
 ) -> AuditReport:
     # rules stay in position order and each carries at most one kind, so
     # the warnings come out sorted by position
-    warnings = tuple(RuleWarning(r.position, k) for r, k in zip(rules, kinds) if k is not None)
-    transformed = Ruleset(original.domain, tuple(r for r in rules if not r.is_empty))
+    warnings = tuple(RuleWarning(r.position, k) for r, k in zip(original.rules, kinds) if k)
+    # a rule no exclusion changed is kept as it came in
+    transformed = Ruleset(original.domain, tuple(
+        r if c is c0 else Rule(r.position, tuple(Box.from_pairs(*b) for b in c), r.decision)
+        for r, c0, c in zip(original.rules, inputs, conds) if c
+    ))
     stats = AuditStats(
         input_rules=len(original.rules),
         output_rules=len(transformed.rules),
@@ -82,22 +88,16 @@ def _assemble(
     return AuditReport(algorithm, transformed, warnings, stats)
 
 
-def _empty_input_labels(rules: list[Rule]) -> list[WarningKind | None]:
+def _conditions(rules: Sequence[Rule]) -> list[tuple[Pairs, ...]]:
+    """Each rule's condition in the exclusion kernel's form."""
+    return [tuple([tuple([(iv.lo, iv.hi) for iv in b.intervals]) for b in r.condition])
+            for r in rules]
+
+
+def _empty_input_labels(conds: list[Sequence[Pairs]]) -> list[WarningKind | None]:
     # an empty input rule is never a first match; no exclusion reaches it,
     # so it is labelled here, once, before the scans
-    return [WarningKind.SHADOWING if r.is_empty else None for r in rules]
-
-
-def _hull(rule: Rule) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lower and upper corner of the smallest box that holds the condition
-    of a non-empty rule: the min and max of its boxes on each attribute."""
-    first, *rest = rule.condition
-    lo = [iv.lo for iv in first.intervals]
-    hi = [iv.hi for iv in first.intervals]
-    for box in rest:
-        for k, iv in enumerate(box.intervals):
-            lo[k], hi[k] = min(lo[k], iv.lo), max(hi[k], iv.hi)
-    return tuple(lo), tuple(hi)
+    return [None if c else WarningKind.SHADOWING for c in conds]
 
 
 @dataclass(slots=True)
@@ -124,13 +124,12 @@ class _Hulls:
     split: list[int]
 
     @classmethod
-    def of(cls, rules: Sequence[Rule]) -> _Hulls:
-        n = len(rules)
-        alive = [not r.is_empty for r in rules]
-        lo, hi = [None] * n, [None] * n
-        for i in range(n):
-            if alive[i]:
-                lo[i], hi[i] = _hull(rules[i])
+    def of(cls, rules: Sequence[Rule], conds: list[Sequence[Pairs]]) -> _Hulls:
+        alive = [bool(c) for c in conds]
+        lo, hi = [None] * len(conds), [None] * len(conds)
+        for i, c in enumerate(conds):
+            if c:
+                lo[i], hi[i] = hull(c)
         # the index is built once; a dead row's list is empty
         ptr, split, nbr = touching_pairs(lo, hi)
         accept = [r.decision == Decision.ACCEPT for r in rules]
@@ -139,10 +138,10 @@ class _Hulls:
     def copy(self) -> _Hulls:
         return replace(self, lo=list(self.lo), hi=list(self.hi), alive=list(self.alive))
 
-    def update(self, j: int, rule: Rule) -> None:
-        self.alive[j] = not rule.is_empty
-        if not rule.is_empty:
-            self.lo[j], self.hi[j] = _hull(rule)
+    def update(self, j: int, cond: Sequence[Pairs]) -> None:
+        self.alive[j] = bool(cond)
+        if cond:
+            self.lo[j], self.hi[j] = hull(cond)
 
     def touching(
         self, i: int, later: bool, box: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
@@ -175,7 +174,7 @@ class _Hulls:
 
 
 def _exclude_forward(
-    rules: list[Rule],
+    conds: list[Sequence[Pairs]],
     hulls: _Hulls,
     kinds: list[WarningKind | None],
     i: int,
@@ -186,18 +185,18 @@ def _exclude_forward(
     Every unlabelled later rule this empties is labelled shadowing.  A rule
     changed into several boxes is coalesced, which keeps its packets.
     """
-    ri = rules[i]
-    if ri.is_empty:
+    ci = conds[i]
+    if not ci:
         return
     for j in hulls.touching(i, True, same_decision=same_decision):
-        rj = exclusion(rules[j], ri)
-        if rj is rules[j]:
+        cj = exclude(conds[j], ci)
+        if cj is conds[j]:
             continue
-        if len(rj.condition) > 1:
-            rj = replace(rj, condition=tuple(coalesce(rj.condition)))
-        rules[j] = rj
-        hulls.update(j, rj)
-        if kinds[j] is None and rj.is_empty:
+        if len(cj) > 1:
+            cj = coalesce(cj)
+        conds[j] = cj
+        hulls.update(j, cj)
+        if kinds[j] is None and not cj:
             kinds[j] = WarningKind.SHADOWING
 
 
@@ -209,58 +208,55 @@ def detection(ruleset: Ruleset) -> AuditReport:
     redundant; use ``complete_detection`` to tell the two apart.
     """
     t0 = time.perf_counter()
-    rules = list(ruleset.rules)
-    hulls = _Hulls.of(rules)
-    kinds = _empty_input_labels(rules)
-    for i in range(len(rules) - 1):
-        _exclude_forward(rules, hulls, kinds, i, None)
-    return _assemble("detection", ruleset, rules, kinds, t0)
+    inputs = _conditions(ruleset.rules)
+    conds = list(inputs)
+    hulls = _Hulls.of(ruleset.rules, conds)
+    kinds = _empty_input_labels(conds)
+    for i in range(len(conds) - 1):
+        _exclude_forward(conds, hulls, kinds, i, None)
+    return _assemble("detection", ruleset, inputs, conds, kinds, t0)
 
 
-def _absorbed_by_later(rules: list[Rule], hulls: _Hulls, i: int) -> bool:
+def _absorbed_by_later(conds: list[Sequence[Pairs]], hulls: _Hulls, i: int) -> bool:
     """Is non-empty rule i's condition fully covered by later rules with its decision?"""
     # the hull of the probed copy only shrinks, so rows that miss rule i's
     # hull can never absorb any of it
     rows = hulls.touching(i, True, same_decision=True)
     # exact escape: a corner of one of rule i's boxes that no box of these
     # rows covers is a packet they leave, so rule i is not absorbed
-    cover = [box.intervals for j in rows for box in rules[j].condition]
-    for box in rules[i].condition:
-        for corner in ([iv.lo for iv in box.intervals], [iv.hi for iv in box.intervals]):
-            for ivs in cover:
-                for iv, v in zip(ivs, corner):
-                    if v < iv.lo or iv.hi < v:
+    cover = [box for j in rows for box in conds[j]]
+    for box in conds[i]:
+        for corner in zip(*box):
+            for pairs in cover:
+                for (lo, hi), v in zip(pairs, corner):
+                    if v < lo or hi < v:
                         break
                 else:
                     break
             else:
                 return False
-    temp = rules[i]
+    rest = conds[i]
     for j in rows:
-        temp = exclusion(temp, rules[j])
-        if temp.is_empty:
+        rest = exclude(rest, conds[j])
+        if not rest:
             return True
     return False
 
 
-def _meets(a: Rule, b: Rule) -> bool:
-    return any(box_intersects(x, y) for x in a.condition for y in b.condition)
-
-
-def _shadowed_in(original: tuple[Rule, ...], hulls: _Hulls, j: int) -> bool:
+def _shadowed_in(original: list[Pairs], hulls: _Hulls, j: int) -> bool:
     """Is original rule j covered by the rules before it, so never a first match?"""
     rest = original[j]
     for k in hulls.touching(j, False):
-        rest = exclusion(rest, original[k])
-        if rest.is_empty:
+        rest = exclude(rest, original[k])
+        if not rest:
             break
-    return rest.is_empty
+    return not rest
 
 
 def _redundant_in(
-    original: tuple[Rule, ...],
+    original: list[Pairs],
     hulls: _Hulls,
-    effective: Rule,
+    effective: Sequence[Pairs],
     i: int,
     is_shadowed: Callable[[int], bool],
 ) -> bool:
@@ -275,13 +271,14 @@ def _redundant_in(
     own, not a reason to keep rule i.
     """
     rest = effective
-    for j in hulls.touching(i, True, _hull(effective)):
-        rj = original[j]
-        if rj.decision == rest.decision:
-            rest = exclusion(rest, rj)
-            if rest.is_empty:
+    accept = hulls.accept
+    for j in hulls.touching(i, True, hull(effective)):
+        if accept[j] == accept[i]:
+            rest = exclude(rest, original[j])
+            if not rest:
                 return True
-        elif _meets(rest, rj) and not is_shadowed(j):
+        # the kernel returns ``rest`` itself when no box of rule j meets it
+        elif exclude(rest, original[j]) is not rest and not is_shadowed(j):
             return False
     return False
 
@@ -307,44 +304,44 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     carries packets of an emptied rule.
     """
     t0 = time.perf_counter()
-    original = ruleset.rules
-    rules = list(original)
-    hulls = _Hulls.of(rules)
+    original = _conditions(ruleset.rules)
+    conds = list(original)
+    hulls = _Hulls.of(ruleset.rules, conds)
     original_hulls = hulls.copy()
     is_shadowed = functools.cache(lambda j: _shadowed_in(original, original_hulls, j))
-    kinds = _empty_input_labels(rules)
-    n = len(rules)
+    kinds = _empty_input_labels(conds)
+    n = len(conds)
     emptied = [False] * n
 
     for i in range(n - 1):
-        _exclude_forward(rules, hulls, kinds, i, False)
+        _exclude_forward(conds, hulls, kinds, i, False)
 
     for i in range(n):
-        if rules[i].is_empty:
+        if not conds[i]:
             # Already settled (and labelled) by an earlier step: excluding
             # against it is the identity, and probing it for redundancy
             # would only relabel a rule that is not really there anymore.
             continue
-        effective = rules[i]
+        effective = conds[i]
         overlapped = original_hulls.touching(
             i, False, (hulls.lo[i], hulls.hi[i]), same_decision=True, mask=emptied
         )
         for k in overlapped:
-            effective = exclusion(effective, original[k])
-        absorbed = _absorbed_by_later(rules, hulls, i)
-        if effective.is_empty:
+            effective = exclude(effective, original[k])
+        absorbed = _absorbed_by_later(conds, hulls, i)
+        if not effective:
             kinds[i] = WarningKind.SHADOWING
         elif (absorbed or overlapped) and _redundant_in(
             original, original_hulls, effective, i, is_shadowed
         ):
             kinds[i] = WarningKind.REDUNDANCY
         if absorbed and kinds[i] is not None:
-            rules[i] = replace(rules[i], condition=())
+            conds[i] = ()
             hulls.alive[i] = False
             emptied[i] = True
         else:
-            _exclude_forward(rules, hulls, kinds, i, True)
-    return _assemble("complete", ruleset, rules, kinds, t0)
+            _exclude_forward(conds, hulls, kinds, i, True)
+    return _assemble("complete", ruleset, original, conds, kinds, t0)
 
 
 ALGORITHMS = {"detection": detection, "complete": complete_detection}

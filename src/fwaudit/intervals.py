@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .errors import ArityError, DomainError
 
@@ -55,6 +56,11 @@ class Box:
     @property
     def p(self) -> int:
         return len(self.intervals)
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The box as one (lo, hi) pair per attribute."""
+        return tuple([(iv.lo, iv.hi) for iv in self.intervals])
 
     def contains(self, packet: tuple[int, ...]) -> bool:
         if len(packet) != len(self.intervals):
@@ -165,108 +171,153 @@ def box_intersects(a: Box, b: Box) -> bool:
 
 
 def box_subtract(b: Box, a: Box) -> list[Box]:
-    """Decompose b minus a into disjoint boxes.
-
-    Uses slab decomposition: slab k keeps attributes before k on the
-    intersection, attribute k on the residual difference, and attributes
-    after k on b's original ranges.  A residual with two pieces yields two
-    boxes, lower piece first; empty slabs are dropped.  Slabs are emitted
-    in ascending attribute order, so identical inputs always give the
-    identical, identically-ordered result.
-
-    Returns [b] unchanged when the boxes are disjoint, and [] when a
-    covers b entirely.  The result has at most 2p boxes, and reuses b's
-    own intervals wherever a covers them.
-    """
+    """b minus a as disjoint boxes, in ``subtract``'s order: [b] when the
+    boxes are disjoint, [] when a covers b, and at most 2p boxes."""
     if not box_intersects(b, a):
         return [b]
-    out: list[Box] = []
-    prefix: tuple[Interval, ...] = ()
-    for k, (b_k, a_k) in enumerate(zip(b.intervals, a.intervals)):
-        suffix = b.intervals[k + 1 :]
-        for piece in interval_subtract(b_k, a_k):
-            out.append(Box(prefix + (piece,) + suffix))
-        prefix += (b_k if a_k.lo <= b_k.lo and b_k.hi <= a_k.hi else interval_intersect(b_k, a_k),)
+    return [Box.from_pairs(*piece) for piece in subtract(b.pairs, a.pairs)]
+
+
+# The exclusion kernel: a box is one (lo, hi) integer pair per attribute, all of one arity.
+Pairs = tuple[tuple[int, int], ...]
+
+
+def subtract(b: Pairs, a: Pairs) -> list[Pairs]:
+    """b minus a, for boxes that meet, by slab decomposition: slab k keeps
+    attributes before k on the intersection (b's own pair where a covers
+    it), attribute k on the residual difference, lower piece first, and
+    attributes after k on b's ranges.  Empty slabs are dropped."""
+    out = []
+    prefix = ()
+    for k, bk in enumerate(b):
+        blo, bhi = bk
+        alo, ahi = a[k]
+        if blo < alo:
+            out.append(prefix + ((blo, alo - 1),) + b[k + 1 :])
+        if ahi < bhi:
+            out.append(prefix + ((ahi + 1, bhi),) + b[k + 1 :])
+        prefix += (bk if alo <= blo and bhi <= ahi else (max(blo, alo), min(bhi, ahi)),)
     return out
 
 
-def coalesce(boxes: Sequence[Box]) -> list[Box]:
+def exclude(working: Sequence[Pairs], cut: Sequence[Pairs]) -> Sequence[Pairs]:
+    """The packets of the pairwise-disjoint boxes ``working`` in no box of
+    ``cut``.  Each box of ``cut`` is subtracted from the whole working set
+    in turn, so the result stays pairwise disjoint.  Only boxes that meet
+    are split, and when none do, ``working`` itself is returned."""
+    for a in cut:
+        if not working:
+            break
+        refined = []
+        hit = False
+        for w in working:
+            for (wlo, whi), (alo, ahi) in zip(w, a):
+                if whi < alo or ahi < wlo:
+                    refined.append(w)
+                    break
+            else:
+                refined += subtract(w, a)
+                hit = True
+        if hit:
+            working = refined
+    return working
+
+
+def coalesce(boxes: Sequence[Pairs]) -> list[Pairs]:
     """Merge pairwise-disjoint boxes that agree on all attributes but one and
     abut on it, until no two do; the packets covered stay the same.
 
     A pass on one attribute merges the abutting runs of boxes that agree
     elsewhere, so the set returned depends only on the set given.
     """
-    # each box as its (lo, hi) pairs, beside the Box it came from (None once merged)
-    rows = [(tuple((iv.lo, iv.hi) for iv in b.intervals), b) for b in boxes]
-    p = boxes[0].p if boxes else 0
+    rows = list(boxes)
+    p = len(rows[0]) if rows else 0
     k = idle = 0
     while idle < p and len(rows) > 1:
         groups: dict[tuple, list] = {}
         for row in rows:
-            groups.setdefault(row[0][:k] + row[0][k + 1 :], []).append(row)
+            groups.setdefault(row[:k] + row[k + 1 :], []).append(row)
         idle += 1
         if len(groups) < len(rows):
             rows = []
             for group in groups.values():
-                group.sort(key=lambda row: row[0][k])
-                (run, box), *rest = group
-                for pairs, b in rest:
-                    if run[k][1] + 1 == pairs[k][0]:
-                        run, box = run[:k] + ((run[k][0], pairs[k][1]),) + run[k + 1 :], None
+                if len(group) == 1:
+                    rows += group
+                    continue
+                group.sort(key=itemgetter(k))
+                run, *rest = group
+                for row in rest:
+                    if run[k][1] + 1 == row[k][0]:
+                        run = run[:k] + ((run[k][0], row[k][1]),) + run[k + 1 :]
                         idle = 1
                     else:
-                        rows.append((run, box))
-                        run, box = pairs, b
-                rows.append((run, box))
+                        rows.append(run)
+                        run = row
+                rows.append(run)
         k = (k + 1) % p
-    return [b if b is not None else Box.from_pairs(*pairs) for pairs, b in rows]
+    return rows
+
+
+def hull(boxes: Sequence[Pairs]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lower and upper corner of the smallest box that holds a non-empty
+    list of boxes: the min and max of their bounds on each attribute."""
+    if len(boxes) == 1:
+        return tuple(zip(*boxes[0]))
+    los, his = zip(*(zip(*box) for box in boxes))
+    return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
+
+
+def _sweep(cols: list[tuple[Sequence[int], Sequence[int]]]) -> Iterator[tuple[int, list[int]]]:
+    """Every pair of rows whose boxes share a packet, once, as ``(a, hits)``
+    for each row a with hits, given one ``(lo, hi)`` column pair per attribute.
+
+    A sort-and-sweep on the attribute where the fewest pairs overlap gives
+    each row the rows sorted after it whose ``lo`` lies in its range there.
+    The other attributes filter them, fewest overlapping pairs first, each
+    skipped for a row whose range there meets every row's."""
+
+    def overlapping(t: int) -> int:
+        # ordered pairs (i, j) with lo_j <= hi_i on attribute t
+        los, his = cols[t]
+        return sum(map(bisect_right, repeat(sorted(los)), his))
+
+    k, *rest = sorted(range(len(cols)), key=overlapping)
+    los_k, his_k = cols[k]
+    rows = sorted(range(len(los_k)), key=los_k.__getitem__)
+    keys = list(map(los_k.__getitem__, rows))
+    top = [max(los) for los, _ in cols]
+    bottom = [min(his) for _, his in cols]
+    for start, a in enumerate(rows, 1):
+        stop = bisect_right(keys, his_k[a], start)
+        if stop == start:
+            continue
+        hits = rows[start:stop]
+        for t in rest:
+            los, his = cols[t]
+            l, h = los[a], his[a]
+            if h < top[t] or l > bottom[t]:
+                hits = [b for b in hits if los[b] <= h and l <= his[b]]
+                if not hits:
+                    break
+        else:
+            yield a, hits
 
 
 def touching_pairs(
     lo: Sequence[tuple[int, ...] | None], hi: Sequence[tuple[int, ...] | None]
 ) -> tuple[list[int], list[int], list[int]]:
-    """Every pair of rows of the corner lists whose boxes share a packet;
-    a row whose corners are None takes part in no pair.
-
+    """Every pair of rows of the corner lists whose boxes share a packet,
+    by ``_sweep``; a row whose corners are None takes part in no pair.
     Returns symmetric CSR lists ``(ptr, split, nbr)``: row i's neighbours,
     ascending, are ``nbr[ptr[i]:ptr[i + 1]]``, those before it ending and
-    those after it starting at ``split[i]``.  A sort-and-sweep on the
-    attribute where the fewest pairs overlap gives each row the rows
-    sorted after it whose ``lo`` lies in its range there, so every pair is
-    a candidate once.  The other attributes then filter the candidates,
-    fewest overlapping pairs first, each skipped for a row whose range
-    there meets every row's.
-    """
-    rows = [i for i, c in enumerate(lo) if c is not None]
+    those after it starting at ``split[i]``."""
+    live = [i for i, c in enumerate(lo) if c is not None]
     adj: list[list[int]] = [[] for _ in lo]
-    if rows:
-        # one (lo, hi) column pair per attribute, None on the rows left out
-        p = len(lo[rows[0]])
-        cols = [([c and c[t] for c in lo], [c and c[t] for c in hi]) for t in range(p)]
-
-        def overlapping(t: int) -> int:
-            # ordered pairs (i, j) with lo_j <= hi_i on attribute t
-            los, his = cols[t]
-            keys = sorted(map(los.__getitem__, rows))
-            return sum(bisect_right(keys, his[i]) for i in rows)
-
-        k, *rest = sorted(range(p), key=overlapping)
-        rows.sort(key=cols[k][0].__getitem__)
-        keys = list(map(cols[k][0].__getitem__, rows))
-        top = [max(map(los.__getitem__, rows)) for los, _ in cols]
-        bottom = [min(map(his.__getitem__, rows)) for _, his in cols]
-        for start, a in enumerate(rows, 1):
-            la, ha = lo[a], hi[a]
-            stop = bisect_right(keys, ha[k], start)
-            if stop == start:
-                continue
-            hits = rows[start:stop]
-            for t in rest:
-                l, h = la[t], ha[t]
-                if hits and (h < top[t] or l > bottom[t]):
-                    los, his = cols[t]
-                    hits = [b for b in hits if los[b] <= h and l <= his[b]]
+    if live:
+        cols = list(zip(zip(*[lo[i] for i in live]), zip(*[hi[i] for i in live])))
+        for a, hits in _sweep(cols):
+            if len(live) < len(lo):  # back to row numbers
+                a, hits = live[a], [live[b] for b in hits]
             adj[a] += hits
             for b in hits:
                 adj[b].append(a)
@@ -280,16 +331,14 @@ def touching_pairs(
 
 
 def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:
-    """True iff no two boxes in the sequence share a packet.
-
-    Raises ArityError when the boxes disagree on their attribute count.
-    """
+    """True iff no two boxes in the sequence share a packet: ``_sweep``, stopped
+    at the first pair that meets.  Raises ArityError on mixed attribute counts."""
     if len(boxes) < 2:
         return True
     p = boxes[0].p
     for b in boxes:
         if b.p != p:
             raise ArityError(f"boxes have {p} and {b.p} attributes")
-    lo = [tuple(iv.lo for iv in b.intervals) for b in boxes]
-    hi = [tuple(iv.hi for iv in b.intervals) for b in boxes]
-    return not touching_pairs(lo, hi)[2]
+    columns = zip(*[b.intervals for b in boxes])
+    cols = [([iv.lo for iv in ivs], [iv.hi for iv in ivs]) for ivs in columns]
+    return next(_sweep(cols), None) is None

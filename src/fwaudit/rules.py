@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ArityError
-from .intervals import Box, DomainSpec, box_subtract
+from .intervals import Box, DomainSpec, exclude
+from .intervals import box_subtract  # noqa: F401  (perfbench wraps it here)
 
 
 class Decision(str, Enum):
@@ -63,29 +64,12 @@ def exclusion(b: Rule, a: Rule) -> Rule:
     """Return rule b with a condition that avoids everything a matches.
 
     The result keeps b's decision and position, and its condition covers
-    exactly the packets of b's condition that are in none of a's boxes.
-    a's boxes are subtracted one at a time from the whole working set,
-    which keeps the output pairwise disjoint even when a has several boxes.
-    Only a box that a box of a meets is split; when none is, the result is
-    b itself.
+    exactly the packets of b's condition in none of a's boxes, as
+    ``intervals.exclude`` computes it; when none meets, it is b itself.
     """
-    working = b.condition
-    for abox in a.condition:
-        if not working:
-            break
-        refined: list[Box] = []
-        hit = False
-        for wbox in working:
-            for x, y in zip(wbox.intervals, abox.intervals):
-                if x.hi < y.lo or y.hi < x.lo:
-                    # zip stops at the shorter box, so a miss checks the arity
-                    if len(wbox.intervals) != len(abox.intervals):
-                        raise ArityError(f"boxes have {wbox.p} and {abox.p} attributes")
-                    refined.append(wbox)
-                    break
-            else:
-                refined.extend(box_subtract(wbox, abox))
-                hit = True
-        if hit:
-            working = tuple(refined)
-    return b if working is b.condition else Rule(b.position, working, b.decision)
+    working, cut = [box.pairs for box in b.condition], [box.pairs for box in a.condition]
+    if len(arities := {len(box) for box in working + cut}) > 1:
+        raise ArityError(f"boxes have {min(arities)} and {max(arities)} attributes")
+    if (rest := exclude(working, cut)) is working:
+        return b
+    return Rule(b.position, tuple(Box.from_pairs(*box) for box in rest), b.decision)

@@ -16,10 +16,10 @@ from fwaudit import (
     rewrite,
 )
 from fwaudit.audit import (
-    RewriteMode, RuleWarning, WarningKind, _absorbed_by_later, _exclude_forward, _hull, _Hulls
+    RewriteMode, RuleWarning, WarningKind, _absorbed_by_later, _conditions, _exclude_forward, _Hulls
 )
-from fwaudit.intervals import boxes_pairwise_disjoint, coalesce
-from fwaudit.rules import Decision, exclusion
+from fwaudit.intervals import boxes_pairwise_disjoint, coalesce, exclude, hull
+from fwaudit.rules import Decision
 from fwaudit.synth import generate, profile, worst_case_family
 
 from conftest import SD, box, rule
@@ -81,14 +81,14 @@ class TestDetection:
         for case in (rs, holed):
             report = detection(case)
             assert equivalent(case, report.transformed)
-            for r in report.transformed.rules:
-                assert coalesce(r.condition) == list(r.condition)
+            for cond in _conditions(report.transformed.rules):
+                assert coalesce(cond) == list(cond)
 
 
 def absorbed(ruleset, i):
     """Probe rule i (1-based) of a ruleset for absorption by later same-decision rules."""
-    rules = list(ruleset.rules)
-    return _absorbed_by_later(rules, _Hulls.of(rules), i - 1)
+    conds = _conditions(ruleset.rules)
+    return _absorbed_by_later(conds, _Hulls.of(ruleset.rules, conds), i - 1)
 
 
 class TestTestRedundancy:
@@ -221,12 +221,12 @@ class TestCompleteDetection:
 
 class TestHulls:
     def test_hull_is_min_max_of_boxes(self):
-        lo, hi = _hull(rule(1, "accept", ((1, 2), (5, 9)), ((4, 8), (0, 3))))
+        lo, hi = hull((((1, 2), (5, 9)), ((4, 8), (0, 3))))
         assert lo == (1, 0) and hi == (8, 9)
+        assert hull((((4, 8), (0, 3)),)) == ((4, 0), (8, 3))
         # beyond int64 the bounds stay exact Python integers
         big = 2**64
-        wide = rule(1, "accept", ((-big, 2), (5, big + 9)), ((4, big), (0, 3)))
-        assert _hull(wide) == ((-big, 0), (big, big + 9))
+        assert hull((((-big, 2), (5, big + 9)), ((4, big), (0, 3)))) == ((-big, 0), (big, big + 9))
 
     @pytest.mark.parametrize("shift", [0, 2**64], ids=["int64", "object"])
     def test_row_follows_a_split(self, shift):
@@ -239,21 +239,22 @@ class TestHulls:
             shifted(1, "deny", ((25, 40), (1, 100))),
             shifted(2, "accept", ((1, 10), (1, 10)), ((20, 30), (20, 30))),
         ]
-        hulls = _Hulls.of(rules)
+        conds = _conditions(rules)
+        hulls = _Hulls.of(rules, conds)
         assert hulls.touching(0, True) == [1] and hulls.touching(1, False) == [0]
-        _exclude_forward(rules, hulls, [None, None], 0, None)
-        assert rules[1] == shifted(2, "accept", ((1, 10), (1, 10)), ((20, 24), (20, 30)))
-        boxes = rules[1].condition
-        assert hulls.lo[1] == tuple(min(b.intervals[k].lo for b in boxes) for k in range(2))
-        assert hulls.hi[1] == tuple(max(b.intervals[k].hi for b in boxes) for k in range(2))
+        _exclude_forward(conds, hulls, [None, None], 0, None)
+        want = shifted(2, "accept", ((1, 10), (1, 10)), ((20, 24), (20, 30)))
+        assert conds[1] == [b.pairs for b in want.condition]
+        assert hulls.lo[1] == tuple(min(b[k][0] for b in conds[1]) for k in range(2))
+        assert hulls.hi[1] == tuple(max(b[k][1] for b in conds[1]) for k in range(2))
 
 
-def _reference_absorbed(rules, hulls, i):
+def _reference_absorbed(conds, hulls, i):
     # the plain subtraction walk over the rows the probe is given
-    rest = rules[i]
+    rest = conds[i]
     for j in hulls.touching(i, True, same_decision=True):
-        rest = exclusion(rest, rules[j])
-    return rest.is_empty
+        rest = exclude(rest, conds[j])
+    return not rest
 
 
 def _probe_corpus():
@@ -269,16 +270,16 @@ def test_corner_escape_is_exact():
     # several boxes, the escape never changes the probe's answer
     answers = set()
     for label, rs in _probe_corpus():
-        rules = list(rs.rules)
-        hulls = _Hulls.of(rules)
+        conds = _conditions(rs.rules)
+        hulls = _Hulls.of(rs.rules, conds)
         for phase1 in (False, True):
             if phase1:
-                for i in range(len(rules) - 1):
-                    _exclude_forward(rules, hulls, [None] * len(rules), i, False)
-            for i, r in enumerate(rules):
-                if not r.is_empty:
-                    got = _absorbed_by_later(rules, hulls, i)
-                    assert got == _reference_absorbed(rules, hulls, i), f"{label}, rule {i + 1}"
+                for i in range(len(conds) - 1):
+                    _exclude_forward(conds, hulls, [None] * len(conds), i, False)
+            for i, c in enumerate(conds):
+                if c:
+                    got = _absorbed_by_later(conds, hulls, i)
+                    assert got == _reference_absorbed(conds, hulls, i), f"{label}, rule {i + 1}"
                     answers.add(got)
     assert answers == {True, False}
 
@@ -387,8 +388,8 @@ class TestAuditProperties:
     @pytest.mark.parametrize("algorithm", [detection, complete_detection])
     def test_output_conditions_are_coalesced(self, algorithm):
         for seed in range(40):
-            for r in algorithm(_random_ruleset(seed, self.dom)).transformed.rules:
-                assert coalesce(r.condition) == list(r.condition), f"seed {seed}"
+            for cond in _conditions(algorithm(_random_ruleset(seed, self.dom)).transformed.rules):
+                assert coalesce(cond) == list(cond), f"seed {seed}"
 
     def test_detection_warnings_are_exactly_the_shadowed_rules(self):
         # every rule the exhaustive checker calls shadowed, and nothing else
@@ -432,7 +433,7 @@ class TestAuditProperties:
                 for k, r in enumerate(rs.rules)
             ]
             rs = Ruleset(dom, tuple(rules))
-            hulls = _Hulls.of(rules)
+            hulls = _Hulls.of(rules, _conditions(rules))
             dead = {k for k, r in enumerate(rules) if r.is_empty}
             assert all(hulls.ptr[k] == hulls.ptr[k + 1] for k in dead), f"seed {seed}"
             assert not dead & set(hulls.nbr), f"seed {seed}"

@@ -14,7 +14,7 @@ from fwaudit import (
     interval_intersect,
     interval_subtract,
 )
-from fwaudit.intervals import coalesce, touching_pairs
+from fwaudit.intervals import coalesce, exclude, subtract, touching_pairs
 
 from conftest import box
 
@@ -232,27 +232,32 @@ def disjoint_boxes_st(draw, p: int, offset: int):
     return kept
 
 
+def merged(boxes: list[Box]) -> list[Box]:
+    """``coalesce`` on Box values."""
+    return [Box.from_pairs(*pairs) for pairs in coalesce([b.pairs for b in boxes])]
+
+
 class TestCoalesce:
     def test_merges_abutting_runs_only(self):
-        got = coalesce([box((5, 9), (0, 3)), box((0, 4), (0, 3)), box((11, 12), (0, 3))])
+        got = merged([box((5, 9), (0, 3)), box((0, 4), (0, 3)), box((11, 12), (0, 3))])
         assert set(got) == {box((0, 9), (0, 3)), box((11, 12), (0, 3))}
 
     def test_merges_again_on_another_attribute(self):
         # the two left boxes merge on d; only then can they merge with the
         # right one on s
-        got = coalesce([box((0, 4), (0, 1)), box((0, 4), (2, 3)), box((5, 9), (0, 3))])
+        got = merged([box((0, 4), (0, 1)), box((0, 4), (2, 3)), box((5, 9), (0, 3))])
         assert got == [box((0, 9), (0, 3))]
 
     def test_keeps_boxes_that_agree_nowhere(self):
         boxes = [box((0, 4), (0, 1)), box((5, 9), (2, 3))]
-        assert coalesce(boxes) == boxes
+        assert merged(boxes) == boxes
         assert coalesce([]) == []
 
     @pytest.mark.parametrize("p, offset", [(1, 0), (2, 0), (3, 0), (2, 2**64), (2, -(2**64) - 8)])
     @given(data=st.data())
     def test_same_points_disjoint_maximal_and_order_free(self, p, offset, data):
         boxes = data.draw(disjoint_boxes_st(p, offset))
-        got = coalesce(boxes)
+        got = merged(boxes)
         covered = set()
         for b in got:
             pts = box_points(b)
@@ -261,8 +266,92 @@ class TestCoalesce:
         assert covered == set().union(*map(box_points, boxes))
         assert not any(_mergeable(a, b) for a, b in itertools.combinations(got, 2))
         shuffled = data.draw(st.permutations(boxes))
-        assert set(coalesce(shuffled)) == set(got)
-        assert coalesce(boxes) == got
+        assert set(merged(shuffled)) == set(got)
+        assert merged(boxes) == got
+
+
+def reference_box_subtract(b: Box, a: Box) -> list[Box]:
+    """Box-level slab decomposition: the kernel's ``subtract`` must give
+    the same boxes in the same order."""
+    if not box_intersects(b, a):
+        return [b]
+    out: list[Box] = []
+    prefix: tuple[Interval, ...] = ()
+    for k, (b_k, a_k) in enumerate(zip(b.intervals, a.intervals)):
+        suffix = b.intervals[k + 1 :]
+        for piece in interval_subtract(b_k, a_k):
+            out.append(Box(prefix + (piece,) + suffix))
+        prefix += (b_k if a_k.lo <= b_k.lo and b_k.hi <= a_k.hi else interval_intersect(b_k, a_k),)
+    return out
+
+
+def reference_coalesce(boxes: list[Box]) -> list[Box]:
+    """Box-level coalescing: the kernel's ``coalesce`` must give the same
+    boxes in the same order."""
+    rows = [(tuple((iv.lo, iv.hi) for iv in b.intervals), b) for b in boxes]
+    p = boxes[0].p if boxes else 0
+    k = idle = 0
+    while idle < p and len(rows) > 1:
+        groups: dict[tuple, list] = {}
+        for row in rows:
+            groups.setdefault(row[0][:k] + row[0][k + 1 :], []).append(row)
+        idle += 1
+        if len(groups) < len(rows):
+            rows = []
+            for group in groups.values():
+                group.sort(key=lambda row: row[0][k])
+                (run, box_), *rest = group
+                for pairs, b in rest:
+                    if run[k][1] + 1 == pairs[k][0]:
+                        run, box_ = run[:k] + ((run[k][0], pairs[k][1]),) + run[k + 1 :], None
+                        idle = 1
+                    else:
+                        rows.append((run, box_))
+                        run, box_ = pairs, b
+                rows.append((run, box_))
+        k = (k + 1) % p
+    return [b if b is not None else Box.from_pairs(*pairs) for pairs, b in rows]
+
+
+def reference_exclude(working: list[Box], cut: list[Box]) -> list[Box]:
+    """Each box of ``cut`` subtracted from the whole working set in turn."""
+    for a in cut:
+        working = [piece for w in working for piece in reference_box_subtract(w, a)]
+    return working
+
+
+class TestKernelMatchesReference:
+    """The (lo, hi) kernel gives the Box-level boxes in the same order."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @given(data=st.data())
+    def test_subtract(self, p, data):
+        b = data.draw(boxes_st(p, hi=15))
+        a = data.draw(boxes_st(p, hi=15))
+        want = [piece.pairs for piece in reference_box_subtract(b, a)]
+        if box_intersects(b, a):
+            assert subtract(b.pairs, a.pairs) == want
+        assert [piece.pairs for piece in box_subtract(b, a)] == want
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @given(data=st.data())
+    def test_exclude(self, p, data):
+        working = data.draw(disjoint_boxes_st(p, 0))
+        cut = data.draw(st.lists(boxes_st(p, hi=15), max_size=3))
+        pairs = [b.pairs for b in working]
+        got = exclude(pairs, [a.pairs for a in cut])
+        assert got == [b.pairs for b in reference_exclude(working, cut)]
+        if not any(box_intersects(w, a) for w in working for a in cut):
+            assert got is pairs
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @given(data=st.data())
+    def test_coalesce(self, p, data):
+        boxes = data.draw(disjoint_boxes_st(p, 0))
+        pieces = data.draw(st.lists(boxes_st(p, hi=15), max_size=2))
+        # slabs of an exclusion, which abut far more often than random boxes
+        boxes = reference_exclude(boxes, pieces)
+        assert coalesce([b.pairs for b in boxes]) == [b.pairs for b in reference_coalesce(boxes)]
 
 
 class TestDomainSpec:
