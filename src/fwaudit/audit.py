@@ -88,10 +88,12 @@ def _assemble(
     return AuditReport(algorithm, transformed, warnings, stats)
 
 
-def _conditions(rules: Sequence[Rule]) -> list[tuple[Pairs, ...]]:
-    """Each rule's condition in the exclusion kernel's form."""
+def _conditions(rules: Sequence[Rule], hulls: _Hulls) -> list:
+    """Each rule's condition in the exclusion kernel's form, if the index gives
+    the rule a neighbour; any other rule keeps its Box condition, which no scan reads."""
+    ptr = hulls.ptr
     return [tuple([tuple([(iv.lo, iv.hi) for iv in b.intervals]) for b in r.condition])
-            for r in rules]
+            if ptr[i] < ptr[i + 1] else r.condition for i, r in enumerate(rules)]
 
 
 def _empty_input_labels(conds: list[Sequence[Pairs]]) -> list[WarningKind | None]:
@@ -124,12 +126,15 @@ class _Hulls:
     split: list[int]
 
     @classmethod
-    def of(cls, rules: Sequence[Rule], conds: list[Sequence[Pairs]]) -> _Hulls:
-        alive = [bool(c) for c in conds]
-        lo, hi = [None] * len(conds), [None] * len(conds)
-        for i, c in enumerate(conds):
-            if c:
-                lo[i], hi[i] = hull(c)
+    def of(cls, rules: Sequence[Rule]) -> _Hulls:
+        alive = [not r.is_empty for r in rules]
+        lo, hi = [None] * len(rules), [None] * len(rules)
+        for i, r in enumerate(rules):
+            if len(r.condition) == 1:
+                ivs = r.condition[0].intervals
+                lo[i], hi[i] = tuple([iv.lo for iv in ivs]), tuple([iv.hi for iv in ivs])
+            elif r.condition:
+                lo[i], hi[i] = hull([b.pairs for b in r.condition])
         # the index is built once; a dead row's list is empty
         ptr, split, nbr = touching_pairs(lo, hi)
         accept = [r.decision == Decision.ACCEPT for r in rules]
@@ -208,9 +213,9 @@ def detection(ruleset: Ruleset) -> AuditReport:
     redundant; use ``complete_detection`` to tell the two apart.
     """
     t0 = time.perf_counter()
-    inputs = _conditions(ruleset.rules)
+    hulls = _Hulls.of(ruleset.rules)
+    inputs = _conditions(ruleset.rules, hulls)
     conds = list(inputs)
-    hulls = _Hulls.of(ruleset.rules, conds)
     kinds = _empty_input_labels(conds)
     for i in range(len(conds) - 1):
         _exclude_forward(conds, hulls, kinds, i, None)
@@ -222,6 +227,8 @@ def _absorbed_by_later(conds: list[Sequence[Pairs]], hulls: _Hulls, i: int) -> b
     # the hull of the probed copy only shrinks, so rows that miss rule i's
     # hull can never absorb any of it
     rows = hulls.touching(i, True, same_decision=True)
+    if not rows:
+        return False
     # exact escape: a corner of one of rule i's boxes that no box of these
     # rows covers is a packet they leave, so rule i is not absorbed
     cover = [box for j in rows for box in conds[j]]
@@ -304,9 +311,9 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     carries packets of an emptied rule.
     """
     t0 = time.perf_counter()
-    original = _conditions(ruleset.rules)
+    hulls = _Hulls.of(ruleset.rules)
+    original = _conditions(ruleset.rules, hulls)
     conds = list(original)
-    hulls = _Hulls.of(ruleset.rules, conds)
     original_hulls = hulls.copy()
     is_shadowed = functools.cache(lambda j: _shadowed_in(original, original_hulls, j))
     kinds = _empty_input_labels(conds)

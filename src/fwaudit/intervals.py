@@ -178,8 +178,7 @@ def box_subtract(b: Box, a: Box) -> list[Box]:
     return [Box.from_pairs(*piece) for piece in subtract(b.pairs, a.pairs)]
 
 
-# The exclusion kernel: a box is one (lo, hi) integer pair per attribute, all of one arity.
-Pairs = tuple[tuple[int, int], ...]
+Pairs = tuple[tuple[int, int], ...]  # the exclusion kernel's box: one (lo, hi) per attribute
 
 
 def subtract(b: Pairs, a: Pairs) -> list[Pairs]:
@@ -201,10 +200,9 @@ def subtract(b: Pairs, a: Pairs) -> list[Pairs]:
 
 
 def exclude(working: Sequence[Pairs], cut: Sequence[Pairs]) -> Sequence[Pairs]:
-    """The packets of the pairwise-disjoint boxes ``working`` in no box of
-    ``cut``.  Each box of ``cut`` is subtracted from the whole working set
-    in turn, so the result stays pairwise disjoint.  Only boxes that meet
-    are split, and when none do, ``working`` itself is returned."""
+    """The packets of the pairwise-disjoint boxes ``working`` in no box of ``cut``, each
+    subtracted from the whole working set in turn, so the result stays pairwise
+    disjoint.  Only boxes that meet are split; when none do, ``working`` is returned."""
     for a in cut:
         if not working:
             break
@@ -225,11 +223,9 @@ def exclude(working: Sequence[Pairs], cut: Sequence[Pairs]) -> Sequence[Pairs]:
 
 def coalesce(boxes: Sequence[Pairs]) -> list[Pairs]:
     """Merge pairwise-disjoint boxes that agree on all attributes but one and
-    abut on it, until no two do; the packets covered stay the same.
-
-    A pass on one attribute merges the abutting runs of boxes that agree
-    elsewhere, so the set returned depends only on the set given.
-    """
+    abut on it, until no two do; the packets covered stay the same.  A pass on
+    one attribute merges the abutting runs of boxes that agree elsewhere, so
+    the set returned depends only on the set given."""
     rows = list(boxes)
     p = len(rows[0]) if rows else 0
     k = idle = 0
@@ -261,8 +257,6 @@ def coalesce(boxes: Sequence[Pairs]) -> list[Pairs]:
 def hull(boxes: Sequence[Pairs]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lower and upper corner of the smallest box that holds a non-empty
     list of boxes: the min and max of their bounds on each attribute."""
-    if len(boxes) == 1:
-        return tuple(zip(*boxes[0]))
     los, his = zip(*(zip(*box) for box in boxes))
     return tuple(map(min, zip(*los))), tuple(map(max, zip(*his)))
 
@@ -306,11 +300,10 @@ def _sweep(cols: list[tuple[Sequence[int], Sequence[int]]]) -> Iterator[tuple[in
 def touching_pairs(
     lo: Sequence[tuple[int, ...] | None], hi: Sequence[tuple[int, ...] | None]
 ) -> tuple[list[int], list[int], list[int]]:
-    """Every pair of rows of the corner lists whose boxes share a packet,
-    by ``_sweep``; a row whose corners are None takes part in no pair.
-    Returns symmetric CSR lists ``(ptr, split, nbr)``: row i's neighbours,
-    ascending, are ``nbr[ptr[i]:ptr[i + 1]]``, those before it ending and
-    those after it starting at ``split[i]``."""
+    """Every pair of rows of the corner lists whose boxes share a packet, by ``_sweep``;
+    a row whose corners are None takes part in no pair.  Returns symmetric CSR lists
+    ``(ptr, split, nbr)``: row i's neighbours, ascending, are ``nbr[ptr[i]:ptr[i + 1]]``,
+    those before it ending and those after it starting at ``split[i]``."""
     live = [i for i, c in enumerate(lo) if c is not None]
     adj: list[list[int]] = [[] for _ in lo]
     if live:

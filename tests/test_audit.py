@@ -81,14 +81,15 @@ class TestDetection:
         for case in (rs, holed):
             report = detection(case)
             assert equivalent(case, report.transformed)
-            for cond in _conditions(report.transformed.rules):
-                assert coalesce(cond) == list(cond)
+            for r in report.transformed.rules:
+                cond = [b.pairs for b in r.condition]
+                assert coalesce(cond) == cond
 
 
 def absorbed(ruleset, i):
     """Probe rule i (1-based) of a ruleset for absorption by later same-decision rules."""
-    conds = _conditions(ruleset.rules)
-    return _absorbed_by_later(conds, _Hulls.of(ruleset.rules, conds), i - 1)
+    hulls = _Hulls.of(ruleset.rules)
+    return _absorbed_by_later(_conditions(ruleset.rules, hulls), hulls, i - 1)
 
 
 class TestTestRedundancy:
@@ -239,8 +240,8 @@ class TestHulls:
             shifted(1, "deny", ((25, 40), (1, 100))),
             shifted(2, "accept", ((1, 10), (1, 10)), ((20, 30), (20, 30))),
         ]
-        conds = _conditions(rules)
-        hulls = _Hulls.of(rules, conds)
+        hulls = _Hulls.of(rules)
+        conds = _conditions(rules, hulls)
         assert hulls.touching(0, True) == [1] and hulls.touching(1, False) == [0]
         _exclude_forward(conds, hulls, [None, None], 0, None)
         want = shifted(2, "accept", ((1, 10), (1, 10)), ((20, 24), (20, 30)))
@@ -270,8 +271,8 @@ def test_corner_escape_is_exact():
     # several boxes, the escape never changes the probe's answer
     answers = set()
     for label, rs in _probe_corpus():
-        conds = _conditions(rs.rules)
-        hulls = _Hulls.of(rs.rules, conds)
+        hulls = _Hulls.of(rs.rules)
+        conds = _conditions(rs.rules, hulls)
         for phase1 in (False, True):
             if phase1:
                 for i in range(len(conds) - 1):
@@ -388,8 +389,9 @@ class TestAuditProperties:
     @pytest.mark.parametrize("algorithm", [detection, complete_detection])
     def test_output_conditions_are_coalesced(self, algorithm):
         for seed in range(40):
-            for cond in _conditions(algorithm(_random_ruleset(seed, self.dom)).transformed.rules):
-                assert coalesce(cond) == list(cond), f"seed {seed}"
+            for r in algorithm(_random_ruleset(seed, self.dom)).transformed.rules:
+                cond = [b.pairs for b in r.condition]
+                assert coalesce(cond) == cond, f"seed {seed}"
 
     def test_detection_warnings_are_exactly_the_shadowed_rules(self):
         # every rule the exhaustive checker calls shadowed, and nothing else
@@ -433,7 +435,7 @@ class TestAuditProperties:
                 for k, r in enumerate(rs.rules)
             ]
             rs = Ruleset(dom, tuple(rules))
-            hulls = _Hulls.of(rules, _conditions(rules))
+            hulls = _Hulls.of(rules)
             dead = {k for k, r in enumerate(rules) if r.is_empty}
             assert all(hulls.ptr[k] == hulls.ptr[k + 1] for k in dead), f"seed {seed}"
             assert not dead & set(hulls.nbr), f"seed {seed}"
