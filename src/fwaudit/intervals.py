@@ -200,9 +200,9 @@ def subtract(b: Pairs, a: Pairs) -> list[Pairs]:
 
 
 def exclude(working: Sequence[Pairs], cut: Sequence[Pairs]) -> Sequence[Pairs]:
-    """The packets of the pairwise-disjoint boxes ``working`` in no box of ``cut``, each
-    subtracted from the whole working set in turn, so the result stays pairwise
-    disjoint.  Only boxes that meet are split; when none do, ``working`` is returned."""
+    """The packets of the pairwise-disjoint boxes ``working`` that no box of ``cut`` holds.
+    Each box of ``cut`` is cut from the whole working set in turn, so the result stays
+    pairwise disjoint.  Only boxes that meet are split; when none do, ``working`` is returned."""
     for a in cut:
         if not working:
             break
