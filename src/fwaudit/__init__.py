@@ -1,6 +1,6 @@
 """Audit ordered firewall filtering rulesets for shadowing and redundancy,
 rewrite them into an equivalent order-independent form, and verify every
-transformation against a brute-force first-match oracle."""
+transformation against an exact first-match oracle."""
 
 from .audit import (
     AuditReport,
@@ -17,7 +17,6 @@ from .errors import (
     ArityError,
     DisjointnessError,
     DomainError,
-    DomainTooLargeError,
     FwAuditError,
     ParseError,
     ValidationError,

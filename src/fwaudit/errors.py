@@ -13,14 +13,6 @@ class DomainError(FwAuditError):
     """A value or interval falls outside the declared attribute domain."""
 
 
-class DomainTooLargeError(FwAuditError):
-    """The packet space exceeds the exhaustive-check budget.
-
-    Callers that hit this should switch to sampled checking
-    (``oracle.sample_equivalent``), which has no budget.
-    """
-
-
 class DisjointnessError(FwAuditError):
     """An operation that requires a pairwise-disjoint ruleset got overlaps."""
 

@@ -11,7 +11,6 @@ an empty list for boxes), never by an inverted interval.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -121,10 +120,6 @@ class DomainSpec:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
-
-    def size(self) -> int:
-        """Total number of distinct packets in the domain."""
-        return math.prod(a.hi - a.lo + 1 for a in self.attributes)
 
     def check_box(self, box: Box) -> None:
         if box.p != self.p:

@@ -1,28 +1,27 @@
-"""Brute-force ground truth for ruleset behaviour.
+"""Ground truth for ruleset behaviour.
 
 Everything here treats a ruleset as a black-box packet classifier under
-first-match semantics and checks it point by point, independently of the
-interval algebra the transforms are built on.  Exhaustive checks
-materialize the whole packet space as a dense grid of at most
-``DEFAULT_BUDGET`` packets; sampled checks draw seeded random packets
-and are advisory only.  Both run on numpy, imported inside the
-functions that use it, so the rest of the package never loads it.
+first-match semantics, independently of the interval algebra the
+transforms are built on.  Exact checks split the packet space on demand
+into regions on which every ruleset's matching rules are fixed, using
+only containment and intersection tests, so they cover any domain.
+Sampled checks draw seeded random packets and are advisory only; they
+alone use numpy, imported inside the functions that need it.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, DomainTooLargeError
+from .errors import DomainError
 from .intervals import DomainSpec
 from .rules import Decision, Rule, Ruleset
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_BUDGET = 10_000_000
 
 Packet = tuple[int, ...]
 
@@ -57,98 +56,98 @@ def evaluate(ruleset: Ruleset, packet: Packet) -> Outcome:
     return Outcome.NO_MATCH
 
 
-def _check_budget(domain: DomainSpec) -> None:
-    size = domain.size()
-    if size > DEFAULT_BUDGET:
-        raise DomainTooLargeError(
-            f"domain holds {size} packets, over the exhaustive budget of {DEFAULT_BUDGET}; "
-            "use sample_equivalent for domains this large"
-        )
+def _first_rules(meeting: list, region: tuple, depth: int) -> tuple[list[int], tuple | None]:
+    """The first ``depth`` distinct rules in ``meeting`` with a box holding
+    all of ``region``, or the cut ``(attribute, value)`` at a box before them
+    that holds only part of it."""
+    first: list[int] = []
+    for i, box in meeting:
+        if i in first:
+            continue
+        for k, ((lo, hi), (rlo, rhi)) in enumerate(zip(box, region)):
+            if lo > rlo or hi < rhi:
+                return first, (k, lo if lo > rlo else hi + 1)
+        first.append(i)
+        if len(first) == depth:
+            break
+    return first, None
 
 
-def _grid_shape(domain: DomainSpec) -> tuple[int, ...]:
-    return tuple(a.hi - a.lo + 1 for a in domain.attributes)
+def _walk(domain: DomainSpec, rule_lists: tuple[tuple[Rule, ...], ...], depth: int):
+    """Yield ``(corner, found)`` for regions that partition the domain, in
+    ascending order of their lower corner: ``found`` holds, per rule list,
+    the indexes of the first ``depth`` rules matching every packet there.
 
-
-def _first_match_grid(domain: DomainSpec, rules: tuple[Rule, ...]) -> np.ndarray:
-    """Grid over the whole packet space holding the first matching rule's
-    index into ``rules``, or -1 where nothing matches."""
-    import numpy as np
-    grid = np.full(_grid_shape(domain), -1, dtype=np.int32)
-    for idx, rule in enumerate(rules):
-        for box in rule.condition:
-            region = grid[
-                tuple(
-                    slice(iv.lo - a.lo, iv.hi - a.lo + 1)
-                    for iv, a in zip(box.intervals, domain.attributes)
-                )
-            ]
-            region[region == -1] = idx
-    return grid
-
-
-def _outcome_grid(domain: DomainSpec, rules: tuple[Rule, ...]) -> np.ndarray:
-    import numpy as np
-    codes = np.array([_OUTCOME_CODE[r.decision] for r in rules] + [-1], dtype=np.int8)
-    return codes[_first_match_grid(domain, rules)]
-
-
-def _first_difference(domain: DomainSpec, a: np.ndarray, b: np.ndarray) -> Packet | None:
-    import numpy as np
-    diff = np.flatnonzero(a.ravel() != b.ravel())
-    if diff.size == 0:
-        return None
-    # C-order ravel makes the first flat index the lexicographically
-    # smallest packet in attribute order.
-    coords = np.unravel_index(int(diff[0]), a.shape)
-    return tuple(int(c) + attr.lo for c, attr in zip(coords, domain.attributes))
-
-
-def _apply_default(grid: np.ndarray, default: Decision | None) -> np.ndarray:
-    if default is None:
-        return grid
-    import numpy as np
-    return np.where(grid == -1, _OUTCOME_CODE[default], grid)
+    A region carries, per list, the ``(rule index, box)`` pairs that meet
+    it, in rule order.  The lower corner is the smallest packet of its
+    region, so the first region yielded with a property has the smallest
+    packet with it as its corner.
+    """
+    whole = tuple((a.lo, a.hi) for a in domain.attributes)
+    boxes = [[(i, b.pairs) for i, r in enumerate(rs) for b in r.condition] for rs in rule_lists]
+    heap = [(tuple(lo for lo, _ in whole), whole, boxes)]
+    while heap:
+        corner, region, boxes = heapq.heappop(heap)
+        found = []
+        for meeting in boxes:
+            first, cut = _first_rules(meeting, region, depth)
+            if cut:
+                break
+            found.append(first)
+        else:
+            yield corner, found
+            continue
+        k, v = cut
+        (lo, hi), before, after = region[k], region[:k], region[k + 1 :]
+        heapq.heappush(heap, (corner, before + ((lo, v - 1),) + after,
+                              [[(i, b) for i, b in m if b[k][0] < v] for m in boxes]))
+        heapq.heappush(heap, (corner[:k] + (v,) + corner[k + 1 :], before + ((v, hi),) + after,
+                              [[(i, b) for i, b in m if b[k][1] >= v] for m in boxes]))
 
 
 def equivalent(r1: Ruleset, r2: Ruleset, *, default: Decision | None = None) -> EquivalenceResult:
-    """Exhaustively compare two rulesets packet for packet.
+    """Compare two rulesets on every packet of their domain.
 
     By default outcomes are compared three-valued (accept / deny /
     no-match), so a positive verdict holds under any default policy.
     Passing ``default`` folds no-match into that decision first, which is
-    how a rewritten ruleset is checked against its declared policy.
+    how a rewritten ruleset is checked against its declared policy.  The
+    counterexample is the lexicographically smallest differing packet.
     """
     if r1.domain != r2.domain:
         raise DomainError("rulesets declare different domains")
-    _check_budget(r1.domain)
-    g1 = _apply_default(_outcome_grid(r1.domain, r1.rules), default)
-    g2 = _apply_default(_outcome_grid(r2.domain, r2.rules), default)
-    witness = _first_difference(r1.domain, g1, g2)
-    return EquivalenceResult(witness is None, witness)
+    for corner, (f1, f2) in _walk(r1.domain, (r1.rules, r2.rules), 1):
+        d1 = r1.rules[f1[0]].decision if f1 else default
+        d2 = r2.rules[f2[0]].decision if f2 else default
+        if d1 is not d2:
+            return EquivalenceResult(False, corner)
+    return EquivalenceResult(True)
+
+
+def _first_matches(ruleset: Ruleset) -> tuple[set[int], set[int]]:
+    """Indexes of the rules that are some packet's first match, and of those
+    whose removal changes some packet's outcome: the next rule matching
+    that packet has the other decision, or none does."""
+    rules = ruleset.rules
+    reached, needed = set(), set()
+    for _, (found,) in _walk(ruleset.domain, (rules,), 2):
+        if found:
+            reached.add(found[0])
+            if len(found) == 1 or rules[found[1]].decision is not rules[found[0]].decision:
+                needed.add(found[0])
+    return reached, needed
 
 
 def find_shadowed(ruleset: Ruleset) -> set[int]:
     """Positions of rules that are never any packet's first match."""
-    import numpy as np
-    _check_budget(ruleset.domain)
-    grid = _first_match_grid(ruleset.domain, ruleset.rules)
-    reached = set(np.unique(grid).tolist())
+    reached, _ = _first_matches(ruleset)
     return {r.position for idx, r in enumerate(ruleset.rules) if idx not in reached}
 
 
 def find_redundant(ruleset: Ruleset) -> set[int]:
     """Positions of non-shadowed rules whose removal changes no packet's outcome."""
-    shadowed = find_shadowed(ruleset)
-    base = _outcome_grid(ruleset.domain, ruleset.rules)
-    redundant = set()
-    for idx, rule in enumerate(ruleset.rules):
-        if rule.position in shadowed:
-            continue
-        rest = ruleset.rules[:idx] + ruleset.rules[idx + 1 :]
-        if (base == _outcome_grid(ruleset.domain, rest)).all():
-            redundant.add(rule.position)
-    return redundant
+    reached, needed = _first_matches(ruleset)
+    return {ruleset.rules[idx].position for idx in reached - needed}
 
 
 def _sample_outcomes(

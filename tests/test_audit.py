@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from fwaudit import (
+    Box,
     DisjointnessError,
     DomainSpec,
     Rule,
@@ -11,6 +12,7 @@ from fwaudit import (
     complete_detection,
     detection,
     equivalent,
+    evaluate,
     find_redundant,
     find_shadowed,
     rewrite,
@@ -463,3 +465,52 @@ class TestAuditProperties:
                 positions = [w.position for w in report.warnings]
                 assert positions == sorted(positions)
                 assert len(set(positions)) == len(positions)
+
+
+_FIVE_TUPLE_CASES = [(prof, n, seed) for prof, n in (("beginner", 250), ("intermediate", 300),
+                                                    ("expert", 250)) for seed in (0, 1)]
+
+
+@pytest.fixture(scope="module", params=_FIVE_TUPLE_CASES, ids=lambda c: f"{c[0]}-{c[1]}-seed{c[2]}")
+def five_tuple_case(request):
+    prof, n, seed = request.param
+    rs = generate(profile(prof, seed=seed), n, DomainSpec.five_tuple())
+    return seed, rs, complete_detection(rs)
+
+
+class TestFiveTupleOracle:
+    """The audits against the exact oracle on the real IPv4 five-tuple domain."""
+
+    def test_labels(self, five_tuple_case):
+        _, rs, report = five_tuple_case
+        labels = {k: {w.position for w in report.warnings if w.kind is k} for k in WarningKind}
+        assert labels[WarningKind.SHADOWING] == find_shadowed(rs)
+        # the audit may also label rules redundant once shadowed rules of
+        # the other decision are set aside
+        assert find_redundant(rs) <= labels[WarningKind.REDUNDANCY]
+
+    def test_outputs_are_equivalent(self, five_tuple_case):
+        _, rs, report = five_tuple_case
+        assert equivalent(rs, report.transformed)
+        assert equivalent(rs, detection(rs).transformed)
+        positive = rewrite(report.transformed, RewriteMode.POSITIVE)
+        assert equivalent(rs, positive, default=Decision.DENY)
+
+    def test_narrowed_box_is_caught(self, five_tuple_case):
+        seed, rs, report = five_tuple_case
+        rng = random.Random(seed)
+        rules = list(report.transformed.rules)
+        k = rng.randrange(len(rules))
+        boxes = list(rules[k].condition)
+        j = rng.randrange(len(boxes))
+        pairs = list(boxes[j].pairs)
+        a = rng.choice([a for a, (lo, hi) in enumerate(pairs) if lo < hi])
+        pairs[a] = (pairs[a][0], pairs[a][1] - 1)
+        boxes[j] = Box.from_pairs(*pairs)
+        rules[k] = replace(rules[k], condition=tuple(boxes))
+        narrowed = Ruleset(rs.domain, tuple(rules))
+        res = equivalent(rs, narrowed)
+        assert not res
+        assert evaluate(rs, res.counterexample) is not evaluate(narrowed, res.counterexample)
+        # the output is disjoint, so the dropped slab matches nothing now
+        assert res.counterexample[a] == pairs[a][1] + 1

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from fwaudit import complete_detection, parse_ruleset, serialize_ruleset
 from fwaudit.cli import main
 
 from conftest import FIXTURES
@@ -205,11 +206,30 @@ class TestCheck:
         other.write_text("1, any, any, any, any, any, accept\n")
         assert main(["check", str(TABLE1), str(other)]) == 2
 
-    def test_exhaustive_over_budget_exits_2(self, tmp_path, capsys):
-        f = tmp_path / "wide.rules"
-        f.write_text("1, any, any, any, any, any, accept\n")
-        assert main(["check", str(f), str(f)]) == 2
-        assert "sample" in capsys.readouterr().err
+    def test_exhaustive_five_tuple(self, tmp_path, capsys):
+        generated, audited = tmp_path / "gen.rules", tmp_path / "gen.audited"
+        assert main(["gen", "--profile", "intermediate", "--count", "150", "--seed", "3",
+                     "--output", str(generated)]) == 0
+        ruleset = parse_ruleset(generated.read_text())
+        audited.write_text(serialize_ruleset(complete_detection(ruleset).transformed))
+        assert main(["check", str(generated), str(generated)]) == 0
+        assert main(["check", str(generated), str(audited)]) == 0
+        assert capsys.readouterr().out == "equivalent (exhaustive)\n" * 2
+        # rule 1 loses dport 1023: every smaller packet still matches it,
+        # and at dport 1023 rule 2 misses on sport and rule 3 accepts
+        rules = [
+            "1, [0,15], [0,2147483647], any, any, [0,1023], deny",
+            "2, [0,7], any, [1024,65535], [0,268435455], any, deny",
+            "3, any, any, any, any, any, accept",
+        ]
+        original = _file(tmp_path / "original.rules", "\n".join(rules) + "\n")
+        rules[0] = rules[0].replace("[0,1023]", "[0,1022]")
+        narrowed = _file(tmp_path / "narrowed.rules", "\n".join(rules) + "\n")
+        assert main(["check", str(original), str(narrowed)]) == 1
+        assert capsys.readouterr().out == (
+            "NOT equivalent (exhaustive); first differing packet: "
+            "(protocol=0, source=0, sport=0, destination=0, dport=1023)\n"
+        )
 
 
 class TestGen:

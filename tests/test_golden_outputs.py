@@ -33,8 +33,7 @@ FIXTURES = Path(__file__).parent.parent / "fixtures"
 SMALL_DOMAIN = "protocol=[0,0],source=[0,15],sport=[0,3],destination=[0,15],dport=[0,3]"
 PROFILES = ("beginner", "intermediate", "expert")
 WORST_CASES = ((4, 2), (5, 3), (6, 2))
-# the five-tuple space is beyond the exhaustive budget, so those inputs
-# are checked on seeded samples
+# the five-tuple inputs are checked on seeded samples
 SAMPLED_CHECK = ("--samples", "300", "--seed", "5")
 
 _ELAPSED_MS = re.compile(r'"elapsed_ms": [-+0-9.eE]+')

@@ -365,9 +365,6 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec.of(("s", 0, 9), ("s", 0, 9))
 
-    def test_size(self):
-        assert DomainSpec.of(("s", 1, 100), ("d", 1, 100)).size() == 10_000
-
     def test_check_box_bounds(self):
         dom = DomainSpec.of(("s", 0, 9))
         dom.check_box(box((0, 9)))

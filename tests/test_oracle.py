@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,6 @@ from fwaudit import (
     Box,
     DomainError,
     DomainSpec,
-    DomainTooLargeError,
     Interval,
     Rule,
     Ruleset,
@@ -45,14 +46,6 @@ class TestEvaluate:
         for q in [(s, d) for s in range(1, 101, 7) for d in range(1, 101, 7)]:
             assert evaluate(table1, q) is evaluate(report.transformed, q)
 
-    def test_scalar_walk_agrees_with_dense_grid(self, table1):
-        # two independent evaluation paths; they must never disagree
-        from fwaudit.oracle import _outcome_grid
-
-        grid = _outcome_grid(table1.domain, table1.rules)
-        for q in [(s, d) for s in range(1, 101, 3) for d in range(1, 101, 3)]:
-            assert evaluate(table1, q) is _CODE_OUTCOME[int(grid[q[0] - 1, q[1] - 1])]
-
 
 class TestEquivalent:
     def test_transform_is_equivalent(self, table1):
@@ -81,11 +74,15 @@ class TestEquivalent:
         with pytest.raises(DomainError):
             equivalent(table1, other)
 
-    def test_budget_enforced(self):
+    def test_five_tuple_empty_against_any(self):
         dom = DomainSpec.five_tuple()
-        huge = Ruleset(dom, ())
-        with pytest.raises(DomainTooLargeError):
-            equivalent(huge, huge)
+        empty = Ruleset(dom, ())
+        everything = Box(tuple(Interval(a.lo, a.hi) for a in dom.attributes))
+        anything = Ruleset(dom, (Rule(1, (everything,), Decision.ACCEPT),))
+        assert equivalent(empty, empty) and equivalent(anything, anything)
+        res = equivalent(empty, anything)
+        assert not res and res.counterexample == (0, 0, 0, 0, 0)
+        assert equivalent(empty, anything, default=Decision.ACCEPT)
 
     def test_default_policy_folding(self):
         dom = DomainSpec.of(("s", 1, 10))
@@ -292,3 +289,50 @@ class TestSampledOutcomesProperty:
         differing = [p for p in packets if evaluate(r1, p) is not evaluate(r2, p)]
         assert res.equivalent == (not differing)
         assert res.counterexample == (differing[0] if differing else None)
+
+
+def _cut_packets(domain, *rulesets):
+    """Packets whose every coordinate is the attribute's lo, or a box's lo or
+    hi + 1 inside the domain, in ascending order.  Outcomes are constant
+    between these cuts, so the set meets every region of constant outcome
+    and holds the smallest packet on which two rulesets differ."""
+    cuts = [{a.lo} for a in domain.attributes]
+    for rs in rulesets:
+        for r in rs.rules:
+            for b in r.condition:
+                for values, iv, a in zip(cuts, b.intervals, domain.attributes):
+                    values.update(v for v in (iv.lo, iv.hi + 1) if v <= a.hi)
+    return list(itertools.product(*map(sorted, cuts)))
+
+
+class TestExactOracleProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_evaluate_on_every_cut(self, data):
+        domain = data.draw(_domains())
+        r1, r2 = data.draw(_rulesets(domain)), data.draw(_rulesets(domain))
+        default = data.draw(st.sampled_from([None, *Decision]))
+        packets = _cut_packets(domain, r1, r2)
+
+        def outcomes(rs, fold):
+            return [fold.get(o, o) for o in (evaluate(rs, p) for p in packets)]
+
+        fold = {Outcome.NO_MATCH: Outcome(default.value)} if default else {}
+        differing = [p for p, a, b in zip(packets, outcomes(r1, fold), outcomes(r2, fold))
+                     if a is not b]
+        res = equivalent(r1, r2, default=default)
+        assert (res.equivalent, res.counterexample) == (not differing, (differing or [None])[0])
+
+        def first_match(p):
+            matching = (r.position for r in r1.rules if any(b.contains(p) for b in r.condition))
+            return next(matching, None)
+
+        reached = {first_match(p) for p in packets}
+        assert find_shadowed(r1) == {r.position for r in r1.rules} - reached
+        base = outcomes(r1, {})
+        removable = {
+            r.position for r in r1.rules
+            if r.position in reached
+            and outcomes(Ruleset(domain, tuple(x for x in r1.rules if x is not r)), {}) == base
+        }
+        assert find_redundant(r1) == removable

@@ -1,6 +1,6 @@
-"""Only the oracle loads numpy: ``import fwaudit`` and the audit, rewrite,
-gen and bench commands run in an interpreter where numpy cannot be
-imported, and print what they print with it."""
+"""Only sampled checks load numpy: ``import fwaudit`` and the audit,
+rewrite, gen, bench and exact check commands run in an interpreter where
+numpy cannot be imported, and print what they print with it."""
 
 from __future__ import annotations
 
@@ -72,6 +72,10 @@ def test_commands_match_a_run_with_numpy(tmp_path):
                 runs.append(["audit", path, "--algorithm", algorithm, "--format", fmt])
         for mode in ("positive", "negative"):
             runs.append(["rewrite", path, "--mode", mode])
+        # a positive rewrite drops the deny rules, so it differs three-valued
+        positive = str(tmp_path / f"{Path(path).stem}.positive.rules")
+        assert main(["rewrite", path, "--mode", "positive", "--output", positive]) == 0
+        runs += [["check", path, path], ["check", path, positive]]
 
     child = _python("-c", _CHILD, json.dumps(runs))
     assert child.returncode == 0, child.stderr
