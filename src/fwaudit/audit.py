@@ -69,15 +69,16 @@ class AuditReport:
 
 
 def _assemble(
-    algorithm: str, original: Ruleset, inputs: list, conds: list, kinds: list, t0: float
+    algorithm: str, original: Ruleset, conds: list, kinds: list, t0: float
 ) -> AuditReport:
     # rules stay in position order and each carries at most one kind, so
     # the warnings come out sorted by position
     warnings = tuple(RuleWarning(r.position, k) for r, k in zip(original.rules, kinds) if k)
     # a rule no exclusion changed is kept as it came in
     transformed = Ruleset(original.domain, tuple(
-        r if c is c0 else Rule(r.position, tuple(Box.from_pairs(*b) for b in c), r.decision)
-        for r, c0, c in zip(original.rules, inputs, conds) if c
+        r if c is r.condition
+        else Rule(r.position, tuple(Box.from_pairs(*b) for b in c), r.decision)
+        for r, c in zip(original.rules, conds) if c
     ))
     stats = AuditStats(
         input_rules=len(original.rules),
@@ -86,14 +87,6 @@ def _assemble(
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
     return AuditReport(algorithm, transformed, warnings, stats)
-
-
-def _conditions(rules: Sequence[Rule], hulls: _Hulls) -> list:
-    """Each rule's condition in the exclusion kernel's form, if the index gives
-    the rule a neighbour; any other rule keeps its Box condition, which no scan reads."""
-    ptr = hulls.ptr
-    return [tuple([tuple([(iv.lo, iv.hi) for iv in b.intervals]) for b in r.condition])
-            if ptr[i] < ptr[i + 1] else r.condition for i, r in enumerate(rules)]
 
 
 def _empty_input_labels(conds: list[Sequence[Pairs]]) -> list[WarningKind | None]:
@@ -131,10 +124,9 @@ class _Hulls:
         lo, hi = [None] * len(rules), [None] * len(rules)
         for i, r in enumerate(rules):
             if len(r.condition) == 1:
-                ivs = r.condition[0].intervals
-                lo[i], hi[i] = tuple([iv.lo for iv in ivs]), tuple([iv.hi for iv in ivs])
+                lo[i], hi[i] = zip(*r.condition[0])
             elif r.condition:
-                lo[i], hi[i] = hull([b.pairs for b in r.condition])
+                lo[i], hi[i] = hull(r.condition)
         # the index is built once; a dead row's list is empty
         ptr, split, nbr = touching_pairs(lo, hi)
         accept = [r.decision == Decision.ACCEPT for r in rules]
@@ -214,12 +206,11 @@ def detection(ruleset: Ruleset) -> AuditReport:
     """
     t0 = time.perf_counter()
     hulls = _Hulls.of(ruleset.rules)
-    inputs = _conditions(ruleset.rules, hulls)
-    conds = list(inputs)
+    conds = [r.condition for r in ruleset.rules]
     kinds = _empty_input_labels(conds)
     for i in range(len(conds) - 1):
         _exclude_forward(conds, hulls, kinds, i, None)
-    return _assemble("detection", ruleset, inputs, conds, kinds, t0)
+    return _assemble("detection", ruleset, conds, kinds, t0)
 
 
 def _absorbed_by_later(conds: list[Sequence[Pairs]], hulls: _Hulls, i: int) -> bool:
@@ -312,7 +303,7 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     """
     t0 = time.perf_counter()
     hulls = _Hulls.of(ruleset.rules)
-    original = _conditions(ruleset.rules, hulls)
+    original = [r.condition for r in ruleset.rules]
     conds = list(original)
     original_hulls = hulls.copy()
     is_shadowed = functools.cache(lambda j: _shadowed_in(original, original_hulls, j))
@@ -348,7 +339,7 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
             emptied[i] = True
         else:
             _exclude_forward(conds, hulls, kinds, i, True)
-    return _assemble("complete", ruleset, original, conds, kinds, t0)
+    return _assemble("complete", ruleset, conds, kinds, t0)
 
 
 ALGORITHMS = {"detection": detection, "complete": complete_detection}

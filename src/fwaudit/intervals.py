@@ -2,8 +2,10 @@
 
 A rule condition constrains each packet attribute to a closed integer
 range; a box is one such range per attribute, i.e. a hyperrectangle in
-packet space.  Everything in this module is an immutable value and every
-operation is a pure function, so concurrent use needs no locking.
+packet space.  An ``Interval`` is a ``(lo, hi)`` tuple and a ``Box`` a tuple
+of Intervals, so a rule's condition is what the exclusion kernel reads.
+Everything in this module is an immutable value and every operation is a
+pure function, so concurrent use needs no locking.
 
 The empty set is always represented by absence (``None`` for intervals,
 an empty list for boxes), never by an inverted interval.
@@ -16,20 +18,20 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ArityError, DomainError
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """Closed integer interval [lo, hi], inclusive at both ends."""
+class Interval(NamedTuple("Interval", [("lo", int), ("hi", int)])):
+    """Closed integer interval [lo, hi], inclusive at both ends, as a (lo, hi) tuple."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo},{self.hi}]")
+    def __new__(cls, lo: int, hi: int) -> Interval:
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo},{hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
@@ -42,34 +44,30 @@ class Interval:
         return f"[{self.lo},{self.hi}]"
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
-    """One interval per attribute: a single conjunctive condition term."""
+class Box(tuple):
+    """A tuple of one Interval per attribute: a single conjunctive condition term."""
 
-    intervals: tuple[Interval, ...]
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, *pairs: tuple[int, int]) -> Box:
-        return cls(tuple(Interval(lo, hi) for lo, hi in pairs))
+        return cls([Interval(lo, hi) for lo, hi in pairs])
+
+    @property
+    def intervals(self) -> Box:
+        return self
 
     @property
     def p(self) -> int:
-        return len(self.intervals)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The box as one (lo, hi) pair per attribute."""
-        return tuple([(iv.lo, iv.hi) for iv in self.intervals])
+        return len(self)
 
     def contains(self, packet: tuple[int, ...]) -> bool:
-        if len(packet) != len(self.intervals):
-            raise ArityError(
-                f"packet has {len(packet)} values, box has {len(self.intervals)} attributes"
-            )
-        return all(iv.contains(v) for iv, v in zip(self.intervals, packet))
+        if len(packet) != len(self):
+            raise ArityError(f"packet has {len(packet)} values, box has {len(self)} attributes")
+        return all(lo <= v <= hi for (lo, hi), v in zip(self, packet))
 
     def __repr__(self) -> str:
-        return "(" + " ".join(repr(iv) for iv in self.intervals) + ")"
+        return "(" + " ".join(map(repr, self)) + ")"
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,11 +120,11 @@ class DomainSpec:
         return tuple(a.name for a in self.attributes)
 
     def check_box(self, box: Box) -> None:
-        if box.p != self.p:
-            raise ArityError(f"box has {box.p} attributes, domain has {self.p}")
-        for attr, iv in zip(self.attributes, box.intervals):
-            if iv.lo < attr.lo or iv.hi > attr.hi:
-                raise DomainError(f"{iv} outside attribute {attr.name} [{attr.lo},{attr.hi}]")
+        if len(box) != self.p:
+            raise ArityError(f"box has {len(box)} attributes, domain has {self.p}")
+        for a, (lo, hi) in zip(self.attributes, box):
+            if lo < a.lo or hi > a.hi:
+                raise DomainError(f"[{lo},{hi}] outside attribute {a.name} [{a.lo},{a.hi}]")
 
     def check_packet(self, packet: tuple[int, ...]) -> None:
         if len(packet) != self.p:
@@ -157,10 +155,10 @@ def interval_subtract(b: Interval, a: Interval) -> list[Interval]:
 
 def box_intersects(a: Box, b: Box) -> bool:
     """True iff the boxes share at least one packet (overlap on every attribute)."""
-    if len(a.intervals) != len(b.intervals):
-        raise ArityError(f"boxes have {a.p} and {b.p} attributes")
-    for x, y in zip(a.intervals, b.intervals):
-        if x.hi < y.lo or y.hi < x.lo:
+    if len(a) != len(b):
+        raise ArityError(f"boxes have {len(a)} and {len(b)} attributes")
+    for (alo, ahi), (blo, bhi) in zip(a, b):
+        if ahi < blo or bhi < alo:
             return False
     return True
 
@@ -170,10 +168,12 @@ def box_subtract(b: Box, a: Box) -> list[Box]:
     boxes are disjoint, [] when a covers b, and at most 2p boxes."""
     if not box_intersects(b, a):
         return [b]
-    return [Box.from_pairs(*piece) for piece in subtract(b.pairs, a.pairs)]
+    return [Box.from_pairs(*piece) for piece in subtract(b, a)]
 
 
-Pairs = tuple[tuple[int, int], ...]  # the exclusion kernel's box: one (lo, hi) per attribute
+# the exclusion kernel's box, one (lo, hi) per attribute: a Box, or a plain
+# tuple for a slab the kernel made, until Box.from_pairs turns it into one
+Pairs = tuple[tuple[int, int], ...]
 
 
 def subtract(b: Pairs, a: Pairs) -> list[Pairs]:
@@ -323,10 +323,6 @@ def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:
     at the first pair that meets.  Raises ArityError on mixed attribute counts."""
     if len(boxes) < 2:
         return True
-    p = boxes[0].p
-    for b in boxes:
-        if b.p != p:
-            raise ArityError(f"boxes have {p} and {b.p} attributes")
-    columns = zip(*[b.intervals for b in boxes])
-    cols = [([iv.lo for iv in ivs], [iv.hi for iv in ivs]) for ivs in columns]
-    return next(_sweep(cols), None) is None
+    if len(arities := set(map(len, boxes))) > 1:
+        raise ArityError(f"boxes have {min(arities)} and {max(arities)} attributes")
+    return next(_sweep([tuple(zip(*column)) for column in zip(*boxes)]), None) is None

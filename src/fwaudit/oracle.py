@@ -84,7 +84,7 @@ def _walk(domain: DomainSpec, rule_lists: tuple[tuple[Rule, ...], ...], depth: i
     packet with it as its corner.
     """
     whole = tuple((a.lo, a.hi) for a in domain.attributes)
-    boxes = [[(i, b.pairs) for i, r in enumerate(rs) for b in r.condition] for rs in rule_lists]
+    boxes = [[(i, b) for i, r in enumerate(rs) for b in r.condition] for rs in rule_lists]
     heap = [(tuple(lo for lo, _ in whole), whole, boxes)]
     while heap:
         corner, region, boxes = heapq.heappop(heap)
@@ -170,19 +170,18 @@ def _sample_outcomes(
     for rule in rules:
         code = _OUTCOME_CODE[rule.decision]
         for box in rule.condition:
-            ivs = box.intervals
-            k = min(range(len(ivs)), key=lambda j: ivs[j].size / widths[j])
+            k = min(range(len(box)), key=lambda j: (box[j][1] - box[j][0] + 1) / widths[j])
             if k not in orders:
                 orders[k] = np.argsort(columns[k])
             order, col = orders[k], columns[k]
-            start = np.searchsorted(col, ivs[k].lo, side="left", sorter=order)
-            stop = np.searchsorted(col, ivs[k].hi, side="right", sorter=order)
+            start = np.searchsorted(col, box[k][0], side="left", sorter=order)
+            stop = np.searchsorted(col, box[k][1], side="right", sorter=order)
             cand = order[start:stop]
             cand = cand[out[cand] == -1]
-            for j, (iv, column) in enumerate(zip(ivs, columns)):
+            for j, ((lo, hi), column) in enumerate(zip(box, columns)):
                 if j != k and cand.size:
                     values = column[cand]
-                    cand = cand[(values >= iv.lo) & (values <= iv.hi)]
+                    cand = cand[(values >= lo) & (values <= hi)]
             out[cand] = code
     return out
 

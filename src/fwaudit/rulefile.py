@@ -36,7 +36,7 @@ import re
 from dataclasses import asdict, dataclass
 
 from ._version import __version__
-from .audit import AuditReport, AuditStats, RuleWarning, WarningKind
+from .audit import ALGORITHMS, AuditReport, AuditStats, RuleWarning, WarningKind
 from .errors import ArityError, DomainError, ParseError, ValidationError
 from .intervals import AttributeDomain, Box, DomainSpec, Interval, box_intersects, boxes_pairwise_disjoint
 from .rules import Decision, Rule, Ruleset
@@ -198,11 +198,12 @@ def parse_ruleset(
 
 
 def _format_interval(iv: Interval, attr: AttributeDomain) -> str:
-    if iv.lo == attr.lo and iv.hi == attr.hi:
+    lo, hi = iv
+    if lo == attr.lo and hi == attr.hi:
         return "any"
-    if iv.lo == iv.hi:
-        return str(iv.lo)
-    return f"[{iv.lo},{iv.hi}]"
+    if lo == hi:
+        return str(lo)
+    return f"[{lo},{hi}]"
 
 
 def serialize_ruleset(ruleset: Ruleset) -> str:
@@ -215,10 +216,7 @@ def serialize_ruleset(ruleset: Ruleset) -> str:
         multi = len(rule.condition) > 1
         for k, box in enumerate(rule.condition, start=1):
             order = f"{rule.position}.{k}" if multi else str(rule.position)
-            toks = [
-                _format_interval(iv, attr)
-                for iv, attr in zip(box.intervals, ruleset.domain.attributes)
-            ]
+            toks = map(_format_interval, box, ruleset.domain.attributes)
             lines.append(", ".join([order, *toks, rule.decision.value]))
     return "\n".join(lines) + "\n"
 
@@ -274,7 +272,7 @@ class ReportDocument:
                 {
                     "order": r.position,
                     "decision": r.decision.value,
-                    "condition": [[[iv.lo, iv.hi] for iv in box.intervals] for box in r.condition],
+                    "condition": r.condition,
                 }
                 for r in self.rules
             ],
@@ -302,25 +300,31 @@ class ReportDocument:
                 )
                 for r in doc["rules"]
             ))
-            if not all(boxes_pairwise_disjoint(r.condition) for r in ruleset.rules):
-                raise ValueError("the boxes of a rule overlap")
+            if not all(r.condition and boxes_pairwise_disjoint(r.condition) for r in ruleset.rules):
+                raise ValueError("a rule has no boxes, or boxes that overlap")
+            if doc["algorithm"] not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {doc['algorithm']!r}")
+            warnings = tuple(
+                RuleWarning(_typed(w["rule"], int), WarningKind(w["kind"])) for w in doc["warnings"]
+            )
             stats = AuditStats(
                 *_ints((st["input_rules"], st["output_rules"], st["output_boxes"])),
                 _typed(st["elapsed_ms"], int, float),
             )
+            # an audit warns at most once per input rule, in position order
+            positions = [0] + [w.position for w in warnings]
             if not (stats.output_rules == len(ruleset.rules) <= stats.input_rules
                     and stats.output_boxes == ruleset.total_boxes()
-                    and 0 <= stats.elapsed_ms < math.inf):
-                raise ValueError(f"stats {st} contradict the document")
+                    and 0 <= stats.elapsed_ms < math.inf
+                    and len(warnings) <= stats.input_rules
+                    and all(a < b for a, b in zip(positions, positions[1:]))):
+                raise ValueError(f"stats {st} or warnings contradict the document")
             return cls(
                 tool_version=_typed(doc["tool_version"], str),
-                algorithm=_typed(doc["algorithm"], str),
+                algorithm=doc["algorithm"],
                 input_digest=_typed(doc.get("input_digest"), str, type(None)),
                 domain=domain,
-                warnings=tuple(
-                    RuleWarning(_typed(w["rule"], int), WarningKind(w["kind"]))
-                    for w in doc["warnings"]
-                ),
+                warnings=warnings,
                 rules=ruleset.rules,
                 stats=stats,
             )

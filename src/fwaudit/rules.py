@@ -67,9 +67,8 @@ def exclusion(b: Rule, a: Rule) -> Rule:
     exactly the packets of b's condition in none of a's boxes, as
     ``intervals.exclude`` computes it; when none meets, it is b itself.
     """
-    working, cut = [box.pairs for box in b.condition], [box.pairs for box in a.condition]
-    if len(arities := {len(box) for box in working + cut}) > 1:
+    if len(arities := {len(box) for box in b.condition + a.condition}) > 1:
         raise ArityError(f"boxes have {min(arities)} and {max(arities)} attributes")
-    if (rest := exclude(working, cut)) is working:
+    if (rest := exclude(b.condition, a.condition)) is b.condition:
         return b
     return Rule(b.position, tuple(Box.from_pairs(*box) for box in rest), b.decision)

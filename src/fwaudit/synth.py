@@ -96,7 +96,7 @@ def generate(prof: GeneratorProfile, n: int, domain: DomainSpec) -> Ruleset:
             box = Box(
                 tuple(
                     _derived_interval(rng, a, piv)
-                    for a, piv in zip(domain.attributes, parent.intervals)
+                    for a, piv in zip(domain.attributes, parent)
                 )
             )
         else:
@@ -104,8 +104,9 @@ def generate(prof: GeneratorProfile, n: int, domain: DomainSpec) -> Ruleset:
         decision = Decision.ACCEPT if rng.random() < 0.5 else Decision.DENY
         rules.append(Rule(k, (box,), decision))
         boxes.append(box)
-        bisect.insort(starts, (box.intervals[wide].lo, k - 1))
-        widest = max(widest, box.intervals[wide].size)
+        lo, hi = box[wide]
+        bisect.insort(starts, (lo, k - 1))
+        widest = max(widest, hi - lo + 1)
     return Ruleset(domain, tuple(rules))
 
 
@@ -116,9 +117,9 @@ def _fresh_disjoint_box(
     more before the draw on attribute ``wide``, or after it, cannot touch it."""
     for _ in range(_FRESH_TRIES):
         box = Box(tuple(_fresh_interval(rng, a) for a in domain.attributes))
-        iv = box.intervals[wide]
-        first = bisect.bisect_left(starts, (iv.lo - widest + 1,))
-        near = starts[first : bisect.bisect_right(starts, (iv.hi, len(boxes)))]
+        lo, hi = box[wide]
+        first = bisect.bisect_left(starts, (lo - widest + 1,))
+        near = starts[first : bisect.bisect_right(starts, (hi, len(boxes)))]
         if not any(box_intersects(box, boxes[j]) for _, j in near):
             return box
     raise ValueError(

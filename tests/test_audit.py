@@ -7,6 +7,7 @@ from fwaudit import (
     Box,
     DisjointnessError,
     DomainSpec,
+    Interval,
     Rule,
     Ruleset,
     complete_detection,
@@ -18,7 +19,7 @@ from fwaudit import (
     rewrite,
 )
 from fwaudit.audit import (
-    RewriteMode, RuleWarning, WarningKind, _absorbed_by_later, _conditions, _exclude_forward, _Hulls
+    RewriteMode, RuleWarning, WarningKind, _absorbed_by_later, _exclude_forward, _Hulls
 )
 from fwaudit.intervals import boxes_pairwise_disjoint, coalesce, exclude, hull
 from fwaudit.rules import Decision
@@ -75,7 +76,7 @@ class TestDetection:
         counts = {(n, p): detection(worst_case_family(n, p)).stats.output_boxes
                   for n, p in ((7, 5), (9, 4), (13, 3))}
         assert counts == {(7, 5): 31, (9, 4): 33, (13, 3): 37}
-        rs = worst_case_family(13, 3)  # 131^3 packets, inside the dense budget
+        rs = worst_case_family(13, 3)  # 131^3 packets
         # a first rule inside the domain cuts a hole in every rule from the
         # seventh on, so boxes that agree elsewhere need not abut there
         holed = Ruleset(rs.domain, (rule(1, "deny", ((60, 70),) * 3),
@@ -84,14 +85,14 @@ class TestDetection:
             report = detection(case)
             assert equivalent(case, report.transformed)
             for r in report.transformed.rules:
-                cond = [b.pairs for b in r.condition]
+                cond = [tuple(b) for b in r.condition]
                 assert coalesce(cond) == cond
 
 
 def absorbed(ruleset, i):
     """Probe rule i (1-based) of a ruleset for absorption by later same-decision rules."""
     hulls = _Hulls.of(ruleset.rules)
-    return _absorbed_by_later(_conditions(ruleset.rules, hulls), hulls, i - 1)
+    return _absorbed_by_later([r.condition for r in ruleset.rules], hulls, i - 1)
 
 
 class TestTestRedundancy:
@@ -243,11 +244,11 @@ class TestHulls:
             shifted(2, "accept", ((1, 10), (1, 10)), ((20, 30), (20, 30))),
         ]
         hulls = _Hulls.of(rules)
-        conds = _conditions(rules, hulls)
+        conds = [r.condition for r in rules]
         assert hulls.touching(0, True) == [1] and hulls.touching(1, False) == [0]
         _exclude_forward(conds, hulls, [None, None], 0, None)
         want = shifted(2, "accept", ((1, 10), (1, 10)), ((20, 24), (20, 30)))
-        assert conds[1] == [b.pairs for b in want.condition]
+        assert conds[1] == [tuple(b) for b in want.condition]
         assert hulls.lo[1] == tuple(min(b[k][0] for b in conds[1]) for k in range(2))
         assert hulls.hi[1] == tuple(max(b[k][1] for b in conds[1]) for k in range(2))
 
@@ -274,7 +275,7 @@ def test_corner_escape_is_exact():
     answers = set()
     for label, rs in _probe_corpus():
         hulls = _Hulls.of(rs.rules)
-        conds = _conditions(rs.rules, hulls)
+        conds = [r.condition for r in rs.rules]
         for phase1 in (False, True):
             if phase1:
                 for i in range(len(conds) - 1):
@@ -285,6 +286,22 @@ def test_corner_escape_is_exact():
                     assert got == _reference_absorbed(conds, hulls, i), f"{label}, rule {i + 1}"
                     answers.add(got)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("algorithm", [detection, complete_detection])
+def test_output_rules_are_inputs_or_fresh_boxes(algorithm):
+    # a rule no exclusion changed is handed back as the input object, and
+    # a changed one holds Boxes of Intervals, not the kernel's plain tuples
+    rs = generate(profile("beginner", 0), 300, DomainSpec.five_tuple())
+    inputs = {r.position: r for r in rs.rules}
+    out = algorithm(rs).transformed.rules
+    # exclusion only removes packets, so an unchanged condition is equal to the input's
+    kept = [r for r in out if r.condition == inputs[r.position].condition]
+    changed = [r for r in out if r.condition != inputs[r.position].condition]
+    assert kept and changed
+    assert all(r is inputs[r.position] for r in kept)
+    for r in changed:
+        assert all(type(b) is Box and all(type(iv) is Interval for iv in b) for b in r.condition)
 
 
 class TestRewrite:
@@ -392,7 +409,7 @@ class TestAuditProperties:
     def test_output_conditions_are_coalesced(self, algorithm):
         for seed in range(40):
             for r in algorithm(_random_ruleset(seed, self.dom)).transformed.rules:
-                cond = [b.pairs for b in r.condition]
+                cond = [tuple(b) for b in r.condition]
                 assert coalesce(cond) == cond, f"seed {seed}"
 
     def test_detection_warnings_are_exactly_the_shadowed_rules(self):
@@ -503,7 +520,7 @@ class TestFiveTupleOracle:
         k = rng.randrange(len(rules))
         boxes = list(rules[k].condition)
         j = rng.randrange(len(boxes))
-        pairs = list(boxes[j].pairs)
+        pairs = list(boxes[j])
         a = rng.choice([a for a, (lo, hi) in enumerate(pairs) if lo < hi])
         pairs[a] = (pairs[a][0], pairs[a][1] - 1)
         boxes[j] = Box.from_pairs(*pairs)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,12 +14,16 @@ from fwaudit import (
     box_intersects,
     box_subtract,
     boxes_pairwise_disjoint,
+    complete_detection,
+    generate,
     interval_intersect,
     interval_subtract,
+    parse_ruleset,
+    profile,
 )
 from fwaudit.intervals import coalesce, exclude, subtract, touching_pairs
 
-from conftest import box
+from conftest import FIXTURES, box, rule
 
 
 def points(iv: Interval) -> set[int]:
@@ -160,6 +167,41 @@ class TestBox:
         assert box_subtract(b, a) == box_subtract(b, a)
 
 
+class TestValueContract:
+    """An Interval is a (lo, hi) tuple and a Box a tuple of them: the exclusion kernel's form."""
+
+    def test_box_is_its_pairs(self):
+        b = Box.from_pairs((1, 2), (3, 4))
+        assert b == ((1, 2), (3, 4))
+        assert b.intervals is b
+        assert [type(iv) for iv in b] == [Interval, Interval]
+
+    def test_interval_is_a_pair(self):
+        # Interval(5, 4) still raises: TestInterval.test_inverted_rejected
+        iv = Interval(3, 4)
+        assert iv == (3, 4) and (iv.lo, iv.hi) == (3, 4)
+
+    @pytest.mark.parametrize("source", ["parsed", "complete_detection"])
+    def test_rulesets_copy_and_convert(self, source):
+        if source == "parsed":
+            rs = parse_ruleset((FIXTURES / "table1.rules").read_text())
+        else:
+            rs = generate(profile("intermediate", 1), 120, DomainSpec.five_tuple())
+            rs = complete_detection(rs).transformed
+            assert any(len(r.condition) > 1 for r in rs.rules)
+        for other in (pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs)):
+            assert other == rs
+            assert all(type(b) is Box and all(type(iv) is Interval for iv in b)
+                       for r in other.rules for b in r.condition)
+        as_dict = dataclasses.asdict(rs)
+        assert [r["condition"] for r in as_dict["rules"]] == [r.condition for r in rs.rules]
+
+    def test_exclude_returns_the_condition_no_cut_meets(self):
+        r = rule(1, "accept", ((1, 10), (1, 10)), ((20, 30), (20, 30)))
+        assert exclude(r.condition, [box((11, 19), (1, 100)), box((1, 30), (40, 50))]) is r.condition
+        assert exclude(r.condition, [box((5, 25), (5, 5))]) is not r.condition
+
+
 class TestHelpers:
     def test_pairwise_disjoint(self):
         assert boxes_pairwise_disjoint([box((1, 2), (1, 2)), box((3, 4), (1, 2))])
@@ -234,7 +276,7 @@ def disjoint_boxes_st(draw, p: int, offset: int):
 
 def merged(boxes: list[Box]) -> list[Box]:
     """``coalesce`` on Box values."""
-    return [Box.from_pairs(*pairs) for pairs in coalesce([b.pairs for b in boxes])]
+    return [Box.from_pairs(*pairs) for pairs in coalesce([tuple(b) for b in boxes])]
 
 
 class TestCoalesce:
@@ -328,19 +370,19 @@ class TestKernelMatchesReference:
     def test_subtract(self, p, data):
         b = data.draw(boxes_st(p, hi=15))
         a = data.draw(boxes_st(p, hi=15))
-        want = [piece.pairs for piece in reference_box_subtract(b, a)]
+        want = [tuple(piece) for piece in reference_box_subtract(b, a)]
         if box_intersects(b, a):
-            assert subtract(b.pairs, a.pairs) == want
-        assert [piece.pairs for piece in box_subtract(b, a)] == want
+            assert subtract(tuple(b), tuple(a)) == want
+        assert [tuple(piece) for piece in box_subtract(b, a)] == want
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @given(data=st.data())
     def test_exclude(self, p, data):
         working = data.draw(disjoint_boxes_st(p, 0))
         cut = data.draw(st.lists(boxes_st(p, hi=15), max_size=3))
-        pairs = [b.pairs for b in working]
-        got = exclude(pairs, [a.pairs for a in cut])
-        assert got == [b.pairs for b in reference_exclude(working, cut)]
+        pairs = [tuple(b) for b in working]
+        got = exclude(pairs, [tuple(a) for a in cut])
+        assert got == [tuple(b) for b in reference_exclude(working, cut)]
         if not any(box_intersects(w, a) for w in working for a in cut):
             assert got is pairs
 
@@ -351,7 +393,7 @@ class TestKernelMatchesReference:
         pieces = data.draw(st.lists(boxes_st(p, hi=15), max_size=2))
         # slabs of an exclusion, which abut far more often than random boxes
         boxes = reference_exclude(boxes, pieces)
-        assert coalesce([b.pairs for b in boxes]) == [b.pairs for b in reference_coalesce(boxes)]
+        assert coalesce([tuple(b) for b in boxes]) == [tuple(b) for b in reference_coalesce(boxes)]
 
 
 class TestDomainSpec:

@@ -252,6 +252,21 @@ class TestReports:
         lambda doc: {**doc, "stats": {**doc["stats"], "elapsed_ms": -1.0}},
         lambda doc: {**doc, "stats": {**doc["stats"], "elapsed_ms": float("inf")}},
         lambda doc: {**doc, "stats": {**doc["stats"], "elapsed_ms": float("nan")}},
+        # warnings an audit cannot emit: a position below 1, one position
+        # twice, positions out of order, more warnings than input rules
+        lambda doc: {**doc, "warnings": [{"rule": -3, "kind": "shadowing"}]},
+        lambda doc: {**doc, "warnings": [*doc["warnings"], doc["warnings"][-1]]},
+        lambda doc: {**doc, "warnings": doc["warnings"][::-1]},
+        lambda doc: {**doc, "warnings": [{"rule": k, "kind": "shadowing"} for k in range(1, 7)]},
+        # a rule with no boxes, which an audit drops
+        lambda doc: {**doc, "rules": [*doc["rules"], {"order": 9, "decision": "deny", "condition": []}],
+                     "stats": {**doc["stats"], "output_rules": doc["stats"]["output_rules"] + 1}},
+        lambda doc: {**doc, "algorithm": "bogus"},
+        # an inverted pair inside the source attribute's bounds
+        lambda doc: {**doc, "rules": [
+            {**doc["rules"][0], "condition": [[[0, 0], [5, 3], *doc["rules"][0]["condition"][0][2:]]]},
+            *doc["rules"][1:],
+        ]},
     ])
     def test_malformed_json_report_is_parse_error(self, mutate):
         report, text = self._report()
