@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 from collections.abc import Iterable, Sequence
 from dataclasses import astuple, dataclass, fields, replace
 
@@ -41,10 +40,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def _run_cell(algorithm: str, profile_name: str, ruleset: Ruleset, seed: int) -> BenchRecord:
-    run = ALGORITHMS[algorithm]
-    t0 = time.perf_counter()
-    report = run(ruleset)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    report = ALGORITHMS[algorithm](ruleset)
     kinds = [w.kind for w in report.warnings]
     return BenchRecord(
         algorithm=algorithm,
@@ -52,7 +48,7 @@ def _run_cell(algorithm: str, profile_name: str, ruleset: Ruleset, seed: int) ->
         n=len(ruleset.rules),
         p=ruleset.domain.p,
         seed=seed,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=report.stats.elapsed_ms,
         out_rules=report.stats.output_rules,
         out_boxes=report.stats.output_boxes,
         shadowing_warnings=kinds.count(WarningKind.SHADOWING),

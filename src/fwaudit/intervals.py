@@ -33,8 +33,10 @@ class Interval(NamedTuple("Interval", [("lo", int), ("hi", int)])):
             raise ValueError(f"inverted interval [{lo},{hi}]")
         return tuple.__new__(cls, (lo, hi))
 
-    def contains(self, value: int) -> bool:
-        return self.lo <= value <= self.hi
+    @classmethod
+    def _make(cls, iterable) -> Interval:
+        # the base's _make, which _replace calls too, would skip the lo > hi check
+        return cls(*iterable)
 
     @property
     def size(self) -> int:

@@ -34,6 +34,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 from ._version import __version__
 from .audit import ALGORITHMS, AuditReport, AuditStats, RuleWarning, WarningKind
@@ -57,34 +58,26 @@ def input_digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _parse_value(token: str, attr: AttributeDomain, line: int) -> Interval:
-    token = token.strip()
+def _parse_value(token: str, attr: AttributeDomain, whole: Interval, line: int) -> Interval:
     if token == "any":
-        return Interval(attr.lo, attr.hi)
+        return whole
     if attr.name == "protocol" and token.lower() in PROTOCOL_NAMES:
-        v = PROTOCOL_NAMES[token.lower()]
-        return _checked(v, v, attr, line)
-    m = _RANGE_RE.match(token)
-    if m:
+        a = b = PROTOCOL_NAMES[token.lower()]
+    elif m := _RANGE_RE.match(token):
         a, b = int(m.group(1)), int(m.group(2))
-        return _checked(a, b, attr, line)
-    m = _QUAD_RE.match(token)
-    if m:
-        a, b, c, last, lo, hi = m.groups()
-        octets = [int(x) for x in (a, b, c, last or lo, last or hi)]
+    elif m := _QUAD_RE.match(token):
+        *net, last, lo, hi = m.groups()
+        octets = [int(x) for x in (*net, last or lo, last or hi)]
         for o in octets:
             if o > 255:
                 raise ValidationError(f"line {line}: IPv4 octet {o} out of range")
         base = (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8)
-        return _checked(base + octets[3], base + octets[4], attr, line)
-    try:
-        v = int(token)
-    except ValueError:
-        raise ParseError(f"bad condition value {token!r} for attribute {attr.name}", line) from None
-    return _checked(v, v, attr, line)
-
-
-def _checked(a: int, b: int, attr: AttributeDomain, line: int) -> Interval:
+        a, b = base + octets[3], base + octets[4]
+    else:
+        try:
+            a = b = int(token)
+        except ValueError:
+            raise ParseError(f"bad condition value {token!r} for attribute {attr.name}", line) from None
     if a > b:
         raise ValidationError(f"line {line}: inverted range [{a},{b}] on attribute {attr.name}")
     if a < attr.lo or b > attr.hi:
@@ -149,6 +142,7 @@ def parse_ruleset(
             raise ParseError("@domain header declares no attributes", lineno)
         domain = DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
     domain = apply_domain_overrides(domain, domain_overrides)
+    wholes = [Interval(a.lo, a.hi) for a in domain.attributes]  # shared by every "any"
 
     rules: list[Rule] = []
     last_key = (0, 0)  # below every valid order value
@@ -174,12 +168,7 @@ def parse_ruleset(
             decision = Decision(fields[-1].lower())
         except ValueError:
             raise ParseError(f"bad decision {fields[-1]!r} (want accept or deny)", lineno) from None
-        box = Box(
-            tuple(
-                _parse_value(tok, attr, lineno)
-                for tok, attr in zip(fields[1:-1], domain.attributes)
-            )
-        )
+        box = Box(map(_parse_value, fields[1:-1], domain.attributes, wholes, repeat(lineno)))
         if rules and rules[-1].position == major:
             # a sub-record: one more box of the rule before it
             prev = rules[-1]

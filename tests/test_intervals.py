@@ -64,6 +64,18 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(5, 4)
 
+    def test_make_and_replace_reject_inverted(self):
+        # the named-tuple base's _make, which _replace calls, skips __new__
+        with pytest.raises(ValueError):
+            Interval._make((5, 4))
+        with pytest.raises(ValueError):
+            Interval(1, 2)._replace(lo=9)
+        iv = Interval._make((1, 2))
+        assert type(iv) is Interval and iv == (1, 2)
+        assert iv._replace(hi=3) == Interval(1, 3)
+        for other in (pickle.loads(pickle.dumps(iv)), copy.deepcopy(iv)):
+            assert type(other) is Interval and other == iv
+
     def test_intersect_overlap(self):
         assert interval_intersect(Interval(20, 60), Interval(1, 30)) == Interval(20, 30)
 

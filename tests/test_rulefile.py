@@ -117,6 +117,29 @@ class TestParse:
                 "1, any, [90,120], any, any, any, deny\n"
             )
 
+    # source spans 10.0.0.0-10.0.0.15
+    NARROW = "@domain protocol=[0,6], source=[167772160,167772175], dport=[80,90]\n"
+
+    @pytest.mark.parametrize("record, attr", [
+        ("1, any, any, 91, deny", "dport"),
+        ("1, any, any, [85,95], deny", "dport"),
+        ("1, any, 10.0.0.16, any, deny", "source"),
+        ("1, any, 10.0.0.[10,20], any, deny", "source"),
+        ("1, udp, any, any, deny", "protocol"),
+    ])
+    def test_every_token_form_is_domain_checked(self, record, attr):
+        with pytest.raises(DomainError, match=rf"^line 2: \[\d+,\d+\] outside attribute {attr} "):
+            parse_ruleset(self.NARROW + record + "\n")
+
+    @pytest.mark.parametrize("record, attr", [
+        ("1, any, any, [100,95], deny", "dport"),
+        ("1, any, 10.0.0.[20,16], any, deny", "source"),
+    ])
+    def test_inverted_forms_fail_before_the_domain_check(self, record, attr):
+        # each range also leaves the domain; the inverted range is reported
+        with pytest.raises(ValidationError, match=rf"^line 2: inverted range .* on attribute {attr}$"):
+            parse_ruleset(self.NARROW + record + "\n")
+
     def test_bad_decision(self):
         with pytest.raises(ParseError):
             parse_ruleset("1, any, any, any, any, any, drop\n")
