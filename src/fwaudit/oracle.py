@@ -6,7 +6,8 @@ transforms are built on.  Exact checks split the packet space on demand
 into regions on which every ruleset's matching rules are fixed, using
 only containment and intersection tests, so they cover any domain.
 Sampled checks draw seeded random packets and are advisory only; they
-alone use numpy, imported inside the functions that need it.
+alone use numpy, imported inside the functions that need it, and store
+samples at their attribute's width, the narrowest integer type holding it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ class Outcome(str, Enum):
 
 _OUTCOME_CODE = {Decision.ACCEPT: 1, Decision.DENY: 0}
 _CODE_OUTCOME = {1: Outcome.ACCEPT, 0: Outcome.DENY, -1: Outcome.NO_MATCH}
+# sample column types, narrowest first: the first that holds an attribute stores it
+_SAMPLE_TYPES = ("uint8", "int8", "uint16", "int16", "uint32", "int32", "int64")
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,22 +164,35 @@ def _sample_outcomes(
     Each box looks only at the samples inside its range on the attribute
     where it covers the smallest share of the domain: uniform samples
     make that the attribute with the fewest expected hits.  ``orders``
-    holds the argsort of each column some box has picked; callers share
-    it between rulesets checked on the same columns.
+    holds each column some box has picked, sorted once: as the keys
+    ``(value - lo) << shift | position`` where they fit in int64, else as
+    its argsort.  Callers share it between rulesets checked on the same
+    columns.
     """
     import numpy as np
     widths = [a.hi - a.lo + 1 for a in domain.attributes]
-    out = np.full(columns[0].size, -1, dtype=np.int8)
+    size = columns[0].size
+    shift = (size - 1).bit_length()
+    mask = (1 << shift) - 1
+    out = np.full(size, -1, dtype=np.int8)
     for rule in rules:
         code = _OUTCOME_CODE[rule.decision]
         for box in rule.condition:
             k = min(range(len(box)), key=lambda j: (box[j][1] - box[j][0] + 1) / widths[j])
+            (lo, hi), base, col = box[k], domain.attributes[k].lo, columns[k]
+            packed = (widths[k] - 1).bit_length() + shift <= 63
             if k not in orders:
-                orders[k] = np.argsort(columns[k])
-            order, col = orders[k], columns[k]
-            start = np.searchsorted(col, box[k][0], side="left", sorter=order)
-            stop = np.searchsorted(col, box[k][1], side="right", sorter=order)
-            cand = order[start:stop]
+                orders[k] = (np.sort(((col.astype(np.int64) - base) << shift) | np.arange(size))
+                             if packed else np.argsort(col))
+            order = orders[k]
+            if packed:  # keys of lo..hi, searched from one below: no key passes 2**63 - 1
+                start, stop = order.searchsorted(
+                    (((lo - base) << shift) - 1, ((hi - base) << shift) | mask), side="right")
+                cand = order[start:stop] & mask
+            else:
+                start = np.searchsorted(col, lo, side="left", sorter=order)
+                stop = np.searchsorted(col, hi, side="right", sorter=order)
+                cand = order[start:stop]
             cand = cand[out[cand] == -1]
             for j, ((lo, hi), column) in enumerate(zip(box, columns)):
                 if j != k and cand.size:
@@ -187,7 +203,8 @@ def _sample_outcomes(
 
 
 def _sample_columns(domain: DomainSpec, samples: int, seed: int) -> list[np.ndarray]:
-    """Seeded uniform random packets, one int64 column per attribute."""
+    """Seeded uniform random packets, one column per attribute, drawn as int64
+    and stored in the narrowest integer type that holds the attribute."""
     import numpy as np
     for a in domain.attributes:
         if not -(2**63) <= a.lo <= a.hi < 2**63:
@@ -197,7 +214,8 @@ def _sample_columns(domain: DomainSpec, samples: int, seed: int) -> list[np.ndar
             )
     rng = np.random.default_rng(seed)
     return [
-        rng.integers(a.lo, a.hi, size=samples, endpoint=True, dtype=np.int64)
+        rng.integers(a.lo, a.hi, size=samples, endpoint=True, dtype=np.int64).astype(
+            next(t for t in _SAMPLE_TYPES if np.iinfo(t).min <= a.lo and a.hi <= np.iinfo(t).max))
         for a in domain.attributes
     ]
 

@@ -12,7 +12,7 @@ above.  Records carry the order value, one condition token per attribute,
 and the decision (accept/deny).  Condition tokens:
 
     any            the attribute's whole domain
-    7              the single value 7
+    7              the single value 7 (an integer is digits after an optional '-')
     [a,b]          the inclusive range a..b
     10.0.0.7       IPv4 dotted quad (source/destination style attributes)
     10.0.0.[1,30]  dotted quad ranging over the last octet
@@ -61,23 +61,25 @@ def input_digest(text: str) -> str:
 def _parse_value(token: str, attr: AttributeDomain, whole: Interval, line: int) -> Interval:
     if token == "any":
         return whole
-    if attr.name == "protocol" and token.lower() in PROTOCOL_NAMES:
-        a = b = PROTOCOL_NAMES[token.lower()]
-    elif m := _RANGE_RE.match(token):
-        a, b = int(m.group(1)), int(m.group(2))
-    elif m := _QUAD_RE.match(token):
-        *net, last, lo, hi = m.groups()
-        octets = [int(x) for x in (*net, last or lo, last or hi)]
-        for o in octets:
-            if o > 255:
-                raise ValidationError(f"line {line}: IPv4 octet {o} out of range")
-        base = (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8)
-        a, b = base + octets[3], base + octets[4]
-    else:
-        try:
+    try:
+        if attr.name == "protocol" and token.lower() in PROTOCOL_NAMES:
+            a = b = PROTOCOL_NAMES[token.lower()]
+        elif token.removeprefix("-").isdecimal():  # -?\d+, the integer _RANGE_RE takes
             a = b = int(token)
-        except ValueError:
-            raise ParseError(f"bad condition value {token!r} for attribute {attr.name}", line) from None
+        elif m := _RANGE_RE.match(token):
+            a, b = int(m.group(1)), int(m.group(2))
+        elif m := _QUAD_RE.match(token):
+            *net, last, lo, hi = m.groups()
+            octets = [int(x) for x in (*net, last or lo, last or hi)]
+            for o in octets:
+                if o > 255:
+                    raise ValidationError(f"line {line}: IPv4 octet {o} out of range")
+            base = (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8)
+            a, b = base + octets[3], base + octets[4]
+        else:
+            raise ValueError
+    except ValueError:  # no token form, or more digits than int() reads
+        raise ParseError(f"bad condition value {token!r} for attribute {attr.name}", line) from None
     if a > b:
         raise ValidationError(f"line {line}: inverted range [{a},{b}] on attribute {attr.name}")
     if a < attr.lo or b > attr.hi:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -209,17 +211,33 @@ class TestSampleEquivalent:
         with pytest.raises(DomainError, match=r"attribute low \[-9223372036854775809,0\]"):
             sample_equivalent(below, below, 10, seed=1)
 
+    @pytest.mark.parametrize("domain, digest", [
+        (DomainSpec.five_tuple(),
+         "sha256:797524169323e2d1763b21da0db5307c01ddf47a1e7ae2aec571422a278008a9"),
+        (DomainSpec.of(("a", -300, 300), ("b", -(2**62), 2**62), ("c", 0, 1)),
+         "sha256:bd54ed8549f24443cae8c827edf6f275677deb8034ea677ec87a2621bd29c58d"),
+    ], ids=["five-tuple", "signed-and-wide"])
+    def test_pinned_packets(self, domain, digest):
+        # a column stored in a type that cannot hold its attribute, such as
+        # float64 for the 2^62-wide one, changes the packets
+        packets = [[int(v) for v in p] for p in zip(*_sample_columns(domain, 1000, 7))]
+        assert "sha256:" + hashlib.sha256(json.dumps(packets).encode()).hexdigest() == digest
+
 
 @st.composite
 def _domains(draw):
-    """1-3 attributes: small ranges with negative bounds, or 2^40-wide ones."""
+    """1-3 attributes: small ranges with negative bounds, 2^40-wide ones, or
+    the full int64 range, too wide for packed sample keys."""
     attrs = []
     for k in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["small", "wide", "int64"]))
+        if kind == "small":
             lo = draw(st.integers(-4, 2))
             hi = lo + draw(st.integers(0, 5))
-        else:
+        elif kind == "wide":
             lo, hi = -(2**40), 2**40
+        else:
+            lo, hi = -(2**63), 2**63 - 1
         attrs.append((f"a{k}", lo, hi))
     return DomainSpec.of(*attrs)
 

@@ -1,5 +1,7 @@
 import ipaddress
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,29 @@ class TestParse:
         # each range also leaves the domain; the inverted range is reported
         with pytest.raises(ValidationError, match=rf"^line 2: inverted range .* on attribute {attr}$"):
             parse_ruleset(self.NARROW + record + "\n")
+
+    SIGNED = "@domain n=[-10,2000]\n1, 7, accept\n"
+
+    @pytest.mark.parametrize("token", ["+5", "1_000", "+0"])
+    def test_single_value_takes_the_range_integer_grammar(self, token):
+        # -?\d+, as inside [a,b], where a sign or a separator never parsed
+        message = rf"^line 3: bad condition value '{re.escape(token)}' for attribute n$"
+        with pytest.raises(ParseError, match=message):
+            parse_ruleset(self.SIGNED + f"2, {token}, deny\n")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() reads integers of any length here")
+    @pytest.mark.parametrize("token", ["9" * 5000, f"[{'9' * 5000},1]", f"10.0.0.{'9' * 5000}"],
+                             ids=["value", "range", "octet"])
+    def test_integer_longer_than_int_reads_is_a_parse_error(self, token):
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        with pytest.raises(ParseError, match=r"^line 3: bad condition value '"):
+            parse_ruleset(self.SIGNED + f"2, {token}, deny\n")
+
+    @pytest.mark.parametrize("token, value", [("-0", 0), ("-7", -7), ("٥", 5), ("-٥", -5)])
+    def test_signed_and_unicode_digit_values_parse(self, token, value):
+        rs = parse_ruleset(self.SIGNED + f"2, {token}, deny\n")
+        assert rs.rules[1].condition == (Box((Interval(value, value),)),)
 
     def test_bad_decision(self):
         with pytest.raises(ParseError):
