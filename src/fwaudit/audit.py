@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DisjointnessError
@@ -95,84 +95,58 @@ def _empty_input_labels(conds: list[Sequence[Pairs]]) -> list[WarningKind | None
     return [None if c else WarningKind.SHADOWING for c in conds]
 
 
-@dataclass(slots=True)
-class _Hulls:
-    """Condition hulls of a rule list, one pair of Python-int corners per row.
-
-    ``accept`` marks the accept rules and ``alive`` the rules whose
-    condition is not empty; the hull of a dead row is never read.  Python
-    integers are exact, so domains wider than 64 bits need no special case.
+@dataclass(frozen=True, slots=True)
+class _Index:
+    """The rows whose input conditions touch, built once per audit.
 
     ``nbr[ptr[i]:ptr[i + 1]]`` lists, ascending, the rows whose input hull
     touches row i's; those before row i end and those after it start at
-    ``split[i]``.  Exclusion only shrinks a condition, so every box a scan
-    queries for row i lies inside row i's input hull and only these rows
-    can touch it: copies share this index.
+    ``split[i]``.  An empty input row touches none.  Exclusion only shrinks
+    a condition, so every box a scan queries for row i lies inside row i's
+    input hull, and excluding a row this index does not list returns the
+    working set unchanged.  Hull corners are Python integers, so domains
+    wider than 64 bits need no special case.
     """
 
-    lo: list[tuple[int, ...] | None]
-    hi: list[tuple[int, ...] | None]
     accept: list[bool]
-    alive: list[bool]
     nbr: list[int]
     ptr: list[int]
     split: list[int]
 
     @classmethod
-    def of(cls, rules: Sequence[Rule]) -> _Hulls:
-        alive = [not r.is_empty for r in rules]
+    def of(cls, rules: Sequence[Rule]) -> _Index:
         lo, hi = [None] * len(rules), [None] * len(rules)
         for i, r in enumerate(rules):
             if len(r.condition) == 1:
                 lo[i], hi[i] = zip(*r.condition[0])
             elif r.condition:
                 lo[i], hi[i] = hull(r.condition)
-        # the index is built once; a dead row's list is empty
         ptr, split, nbr = touching_pairs(lo, hi)
-        accept = [r.decision == Decision.ACCEPT for r in rules]
-        return cls(lo, hi, accept, alive, nbr, ptr, split)
-
-    def copy(self) -> _Hulls:
-        return replace(self, lo=list(self.lo), hi=list(self.hi), alive=list(self.alive))
-
-    def update(self, j: int, cond: Sequence[Pairs]) -> None:
-        self.alive[j] = bool(cond)
-        if cond:
-            self.lo[j], self.hi[j] = hull(cond)
+        return cls([r.decision == Decision.ACCEPT for r in rules], nbr, ptr, split)
 
     def touching(
-        self, i: int, later: bool, box: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+        self, conds: Sequence[Sequence[Pairs]], i: int, later: bool,
         same_decision: bool | None = None, mask: list[bool] | None = None,
     ) -> list[int]:
-        """Rows after (``later``) or before row i, ascending, that are live,
-        have the same (True) or a differing (False) decision when asked,
-        are kept by ``mask``, and whose hull shares a packet with ``box``,
-        row i's hull by default.
-
-        Excluding a rule whose hull does not touch is the identity, so a
-        scan may visit only these rows.
-        """
+        """Rows after (``later``) or before row i, ascending, that the index
+        lists for it, whose condition in ``conds`` is not empty, that have
+        the same (True) or a differing (False) decision when asked, and that
+        ``mask`` keeps."""
         start, stop = (self.split[i], self.ptr[i + 1]) if later else (self.ptr[i], self.split[i])
         if start == stop:
             return []
-        blo, bhi = box if box is not None else (self.lo[i], self.hi[i])
-        alive, accept, lo, hi = self.alive, self.accept, self.lo, self.hi
+        accept = self.accept
         # the decision a kept row must have, if one is asked for
         want = None if same_decision is None else accept[i] == same_decision
-        rows = []
-        for j in self.nbr[start:stop]:
-            if alive[j] and (want is None or accept[j] == want) and (mask is None or mask[j]):
-                for jl, jh, l, h in zip(lo[j], hi[j], blo, bhi):
-                    if jh < l or h < jl:
-                        break
-                else:
-                    rows.append(j)
-        return rows
+        return [
+            j for j in self.nbr[start:stop]
+            if conds[j] and (want is None or accept[j] == want) and (mask is None or mask[j])
+        ]
 
 
 def _exclude_forward(
     conds: list[Sequence[Pairs]],
-    hulls: _Hulls,
+    index: _Index,
     kinds: list[WarningKind | None],
     i: int,
     same_decision: bool | None,
@@ -185,14 +159,13 @@ def _exclude_forward(
     ci = conds[i]
     if not ci:
         return
-    for j in hulls.touching(i, True, same_decision=same_decision):
+    for j in index.touching(conds, i, True, same_decision):
         cj = exclude(conds[j], ci)
         if cj is conds[j]:
             continue
         if len(cj) > 1:
             cj = coalesce(cj)
         conds[j] = cj
-        hulls.update(j, cj)
         if kinds[j] is None and not cj:
             kinds[j] = WarningKind.SHADOWING
 
@@ -205,19 +178,17 @@ def detection(ruleset: Ruleset) -> AuditReport:
     redundant; use ``complete_detection`` to tell the two apart.
     """
     t0 = time.perf_counter()
-    hulls = _Hulls.of(ruleset.rules)
+    index = _Index.of(ruleset.rules)
     conds = [r.condition for r in ruleset.rules]
     kinds = _empty_input_labels(conds)
     for i in range(len(conds) - 1):
-        _exclude_forward(conds, hulls, kinds, i, None)
+        _exclude_forward(conds, index, kinds, i, None)
     return _assemble("detection", ruleset, conds, kinds, t0)
 
 
-def _absorbed_by_later(conds: list[Sequence[Pairs]], hulls: _Hulls, i: int) -> bool:
+def _absorbed_by_later(conds: list[Sequence[Pairs]], index: _Index, i: int) -> bool:
     """Is non-empty rule i's condition fully covered by later rules with its decision?"""
-    # the hull of the probed copy only shrinks, so rows that miss rule i's
-    # hull can never absorb any of it
-    rows = hulls.touching(i, True, same_decision=True)
+    rows = index.touching(conds, i, True, same_decision=True)
     if not rows:
         return False
     # exact escape: a corner of one of rule i's boxes that no box of these
@@ -241,10 +212,10 @@ def _absorbed_by_later(conds: list[Sequence[Pairs]], hulls: _Hulls, i: int) -> b
     return False
 
 
-def _shadowed_in(original: list[Pairs], hulls: _Hulls, j: int) -> bool:
+def _shadowed_in(original: list[Pairs], index: _Index, j: int) -> bool:
     """Is original rule j covered by the rules before it, so never a first match?"""
     rest = original[j]
-    for k in hulls.touching(j, False):
+    for k in index.touching(original, j, False):
         rest = exclude(rest, original[k])
         if not rest:
             break
@@ -253,7 +224,7 @@ def _shadowed_in(original: list[Pairs], hulls: _Hulls, j: int) -> bool:
 
 def _redundant_in(
     original: list[Pairs],
-    hulls: _Hulls,
+    index: _Index,
     effective: Sequence[Pairs],
     i: int,
     is_shadowed: Callable[[int], bool],
@@ -269,8 +240,8 @@ def _redundant_in(
     own, not a reason to keep rule i.
     """
     rest = effective
-    accept = hulls.accept
-    for j in hulls.touching(i, True, hull(effective)):
+    accept = index.accept
+    for j in index.touching(original, i, True):
         if accept[j] == accept[i]:
             rest = exclude(rest, original[j])
             if not rest:
@@ -297,22 +268,21 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     original; if that is empty, rule i is shadowed.  Otherwise
     ``_redundant_in`` decides redundancy.  A redundant rule whose
     condition is its whole first-match region is always absorbed, so the
-    walk runs only for absorbed rules and rules that overlap an emptied
-    one.  A labelled rule that is not absorbed stays in the output: it
-    carries packets of an emptied rule.
+    walk runs only for absorbed rules and rules the index pairs with an
+    emptied one.  A labelled rule that is not absorbed stays in the
+    output: it carries packets of an emptied rule.
     """
     t0 = time.perf_counter()
-    hulls = _Hulls.of(ruleset.rules)
+    index = _Index.of(ruleset.rules)
     original = [r.condition for r in ruleset.rules]
     conds = list(original)
-    original_hulls = hulls.copy()
-    is_shadowed = functools.cache(lambda j: _shadowed_in(original, original_hulls, j))
+    is_shadowed = functools.cache(lambda j: _shadowed_in(original, index, j))
     kinds = _empty_input_labels(conds)
     n = len(conds)
     emptied = [False] * n
 
     for i in range(n - 1):
-        _exclude_forward(conds, hulls, kinds, i, False)
+        _exclude_forward(conds, index, kinds, i, False)
 
     for i in range(n):
         if not conds[i]:
@@ -321,24 +291,21 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
             # would only relabel a rule that is not really there anymore.
             continue
         effective = conds[i]
-        overlapped = original_hulls.touching(
-            i, False, (hulls.lo[i], hulls.hi[i]), same_decision=True, mask=emptied
-        )
+        overlapped = index.touching(original, i, False, same_decision=True, mask=emptied)
         for k in overlapped:
             effective = exclude(effective, original[k])
-        absorbed = _absorbed_by_later(conds, hulls, i)
+            if not effective:
+                break
+        absorbed = _absorbed_by_later(conds, index, i)
         if not effective:
             kinds[i] = WarningKind.SHADOWING
-        elif (absorbed or overlapped) and _redundant_in(
-            original, original_hulls, effective, i, is_shadowed
-        ):
+        elif (absorbed or overlapped) and _redundant_in(original, index, effective, i, is_shadowed):
             kinds[i] = WarningKind.REDUNDANCY
         if absorbed and kinds[i] is not None:
             conds[i] = ()
-            hulls.alive[i] = False
             emptied[i] = True
         else:
-            _exclude_forward(conds, hulls, kinds, i, True)
+            _exclude_forward(conds, index, kinds, i, True)
     return _assemble("complete", ruleset, conds, kinds, t0)
 
 

@@ -99,7 +99,13 @@ def parse_domain_overrides(text: str, line: int | None = None) -> dict[str, tupl
         m = _BOUND_RE.match(part)
         if not m:
             raise ParseError(f"bad domain bounds {part!r} (want name=[lo,hi])", line)
-        name, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
+        name = m.group(1)
+        try:
+            lo, hi = int(m.group(2)), int(m.group(3))
+        except ValueError:  # more digits than int() reads
+            raise ParseError(
+                f"domain bound of {name} has more digits than int() reads", line
+            ) from None
         if lo > hi:
             raise ValidationError(f"{where}inverted domain bounds for {name}")
         if name in bounds:

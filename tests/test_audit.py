@@ -19,7 +19,7 @@ from fwaudit import (
     rewrite,
 )
 from fwaudit.audit import (
-    RewriteMode, RuleWarning, WarningKind, _absorbed_by_later, _exclude_forward, _Hulls
+    RewriteMode, RuleWarning, WarningKind, _absorbed_by_later, _exclude_forward, _Index
 )
 from fwaudit.intervals import boxes_pairwise_disjoint, coalesce, exclude, hull
 from fwaudit.rules import Decision
@@ -91,8 +91,8 @@ class TestDetection:
 
 def absorbed(ruleset, i):
     """Probe rule i (1-based) of a ruleset for absorption by later same-decision rules."""
-    hulls = _Hulls.of(ruleset.rules)
-    return _absorbed_by_later([r.condition for r in ruleset.rules], hulls, i - 1)
+    index = _Index.of(ruleset.rules)
+    return _absorbed_by_later([r.condition for r in ruleset.rules], index, i - 1)
 
 
 class TestTestRedundancy:
@@ -243,21 +243,21 @@ class TestHulls:
             shifted(1, "deny", ((25, 40), (1, 100))),
             shifted(2, "accept", ((1, 10), (1, 10)), ((20, 30), (20, 30))),
         ]
-        hulls = _Hulls.of(rules)
+        index = _Index.of(rules)
         conds = [r.condition for r in rules]
-        assert hulls.touching(0, True) == [1] and hulls.touching(1, False) == [0]
-        _exclude_forward(conds, hulls, [None, None], 0, None)
+        assert index.touching(conds, 0, True) == [1] and index.touching(conds, 1, False) == [0]
+        _exclude_forward(conds, index, [None, None], 0, None)
         want = shifted(2, "accept", ((1, 10), (1, 10)), ((20, 24), (20, 30)))
         assert conds[1] == [tuple(b) for b in want.condition]
-        assert hulls.lo[1] == tuple(min(b[k][0] for b in conds[1]) for k in range(2))
-        assert hulls.hi[1] == tuple(max(b[k][1] for b in conds[1]) for k in range(2))
 
 
-def _reference_absorbed(conds, hulls, i):
-    # the plain subtraction walk over the rows the probe is given
+def _reference_absorbed(conds, decisions, i):
+    # the plain subtraction walk over every later rule with rule i's
+    # decision; the index is not consulted
     rest = conds[i]
-    for j in hulls.touching(i, True, same_decision=True):
-        rest = exclude(rest, conds[j])
+    for j in range(i + 1, len(conds)):
+        if decisions[j] is decisions[i]:
+            rest = exclude(rest, conds[j])
     return not rest
 
 
@@ -274,18 +274,48 @@ def test_corner_escape_is_exact():
     # several boxes, the escape never changes the probe's answer
     answers = set()
     for label, rs in _probe_corpus():
-        hulls = _Hulls.of(rs.rules)
+        index = _Index.of(rs.rules)
         conds = [r.condition for r in rs.rules]
+        decisions = [r.decision for r in rs.rules]
         for phase1 in (False, True):
             if phase1:
                 for i in range(len(conds) - 1):
-                    _exclude_forward(conds, hulls, [None] * len(conds), i, False)
+                    _exclude_forward(conds, index, [None] * len(conds), i, False)
             for i, c in enumerate(conds):
                 if c:
-                    got = _absorbed_by_later(conds, hulls, i)
-                    assert got == _reference_absorbed(conds, hulls, i), f"{label}, rule {i + 1}"
+                    got = _absorbed_by_later(conds, index, i)
+                    assert got == _reference_absorbed(conds, decisions, i), f"{label}, rule {i + 1}"
                     answers.add(got)
     assert answers == {True, False}
+
+
+def test_rows_the_index_leaves_out_are_never_cut():
+    # the audits scan only the rows the index lists.  After phase 1, excluding
+    # row i leaves every later row it does not list as it is, and excluding
+    # an earlier original row it does not list leaves row i as it is, both
+    # now and as it came in.  Checked on every pair, without the index.
+    dom = DomainSpec.of(("s", 0, 7), ("d", 0, 7))
+    corpus = [(f"random seed {seed}", _random_ruleset(seed, dom)) for seed in range(1000)]
+    corpus.append(("expert n = 250", generate(profile("expert", 0), 250, DomainSpec.five_tuple())))
+    left_out = 0
+    for label, rs in corpus:
+        index = _Index.of(rs.rules)
+        original = [r.condition for r in rs.rules]
+        conds = list(original)
+        for i in range(len(conds) - 1):
+            _exclude_forward(conds, index, [None] * len(conds), i, False)
+        for i in range(len(conds)):
+            later = set(index.touching(conds, i, True))
+            earlier = set(index.touching(original, i, False))
+            for j in range(i + 1, len(conds)):
+                if conds[j] and j not in later:
+                    left_out += 1
+                    assert exclude(conds[j], conds[i]) is conds[j], f"{label}, rows {i + 1}, {j + 1}"
+            for k in set(range(i)) - earlier:
+                left_out += 1
+                for cond in (conds[i], original[i]):
+                    assert exclude(cond, original[k]) is cond, f"{label}, rows {k + 1}, {i + 1}"
+    assert left_out
 
 
 @pytest.mark.parametrize("algorithm", [detection, complete_detection])
@@ -454,14 +484,14 @@ class TestAuditProperties:
                 for k, r in enumerate(rs.rules)
             ]
             rs = Ruleset(dom, tuple(rules))
-            hulls = _Hulls.of(rules)
+            index = _Index.of(rules)
             dead = {k for k, r in enumerate(rules) if r.is_empty}
-            assert all(hulls.ptr[k] == hulls.ptr[k + 1] for k in dead), f"seed {seed}"
-            assert not dead & set(hulls.nbr), f"seed {seed}"
+            assert all(index.ptr[k] == index.ptr[k + 1] for k in dead), f"seed {seed}"
+            assert not dead & set(index.nbr), f"seed {seed}"
             for k in range(len(rules)):
-                assert hulls.ptr[k] <= hulls.split[k] <= hulls.ptr[k + 1], f"seed {seed}"
-                earlier = hulls.nbr[hulls.ptr[k] : hulls.split[k]]
-                later = hulls.nbr[hulls.split[k] : hulls.ptr[k + 1]]
+                assert index.ptr[k] <= index.split[k] <= index.ptr[k + 1], f"seed {seed}"
+                earlier = index.nbr[index.ptr[k] : index.split[k]]
+                later = index.nbr[index.split[k] : index.ptr[k + 1]]
                 assert all(j < k for j in earlier) and all(j > k for j in later), f"seed {seed}"
             assert warn_set(complete_detection(rs)) == _brute_force_labels(rs), f"seed {seed}"
             report = detection(rs)

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -372,6 +373,19 @@ def test_bad_header_bounds_exit_2_naming_line_1(bounds, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: line 1")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() reads integers of any length here")
+def test_domain_bound_longer_than_int_reads_exits_2(tmp_path, capsys):
+    # the @domain header names its line; the --domain flag has none to name
+    bounds = f"source=[0,{'9' * 5000}]"
+    header = _file(tmp_path / "long.rules", f"@domain {bounds}\n1, any, accept\n")
+    runs = ((["audit", header], "line 1: "), (["audit", TABLE1, "--domain", bounds], ""))
+    for argv, where in runs:
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {where}domain bound of source has more digits than int() reads\n"
 
 
 class TestUsage:

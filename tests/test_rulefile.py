@@ -160,6 +160,16 @@ class TestParse:
         with pytest.raises(ParseError, match=r"^line 3: bad condition value '"):
             parse_ruleset(self.SIGNED + f"2, {token}, deny\n")
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() reads integers of any length here")
+    def test_domain_bound_longer_than_int_reads_is_a_parse_error(self):
+        bounds = f"n=[0,{'9' * 5000}]"
+        message = r"domain bound of n has more digits than int\(\) reads$"
+        with pytest.raises(ParseError, match="^line 1: " + message):
+            parse_ruleset(f"@domain {bounds}\n1, 7, accept\n")
+        with pytest.raises(ParseError, match="^" + message):
+            parse_domain_overrides(bounds)
+
     @pytest.mark.parametrize("token, value", [("-0", 0), ("-7", -7), ("٥", 5), ("-٥", -5)])
     def test_signed_and_unicode_digit_values_parse(self, token, value):
         rs = parse_ruleset(self.SIGNED + f"2, {token}, deny\n")
