@@ -268,9 +268,9 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     original; if that is empty, rule i is shadowed.  Otherwise
     ``_redundant_in`` decides redundancy.  A redundant rule whose
     condition is its whole first-match region is always absorbed, so the
-    walk runs only for absorbed rules and rules the index pairs with an
-    emptied one.  A labelled rule that is not absorbed stays in the
-    output: it carries packets of an emptied rule.
+    walk runs only for absorbed rules and rules whose region an emptied
+    one cut.  A labelled rule that is not absorbed stays in the output:
+    it carries packets of an emptied rule.
     """
     t0 = time.perf_counter()
     index = _Index.of(ruleset.rules)
@@ -291,15 +291,15 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
             # would only relabel a rule that is not really there anymore.
             continue
         effective = conds[i]
-        overlapped = index.touching(original, i, False, same_decision=True, mask=emptied)
-        for k in overlapped:
+        for k in index.touching(original, i, False, same_decision=True, mask=emptied):
             effective = exclude(effective, original[k])
             if not effective:
                 break
         absorbed = _absorbed_by_later(conds, index, i)
         if not effective:
             kinds[i] = WarningKind.SHADOWING
-        elif (absorbed or overlapped) and _redundant_in(original, index, effective, i, is_shadowed):
+        elif (absorbed or effective is not conds[i]) and _redundant_in(
+                original, index, effective, i, is_shadowed):
             kinds[i] = WarningKind.REDUNDANCY
         if absorbed and kinds[i] is not None:
             conds[i] = ()

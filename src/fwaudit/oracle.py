@@ -6,8 +6,9 @@ transforms are built on.  Exact checks split the packet space on demand
 into regions on which every ruleset's matching rules are fixed, using
 only containment and intersection tests, so they cover any domain.
 Sampled checks draw seeded random packets and are advisory only; they
-alone use numpy, imported inside the functions that need it, and store
-samples at their attribute's width, the narrowest integer type holding it.
+alone use numpy, imported inside the functions that need it, store
+samples at their attribute's width, the narrowest integer type holding
+it, and sort only the samples a bucket screen of the rules' ranges keeps.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ _OUTCOME_CODE = {Decision.ACCEPT: 1, Decision.DENY: 0}
 _CODE_OUTCOME = {1: Outcome.ACCEPT, 0: Outcome.DENY, -1: Outcome.NO_MATCH}
 # sample column types, narrowest first: the first that holds an attribute stores it
 _SAMPLE_TYPES = ("uint8", "int8", "uint16", "int16", "uint32", "int32", "int64")
+_CHUNK = 1 << 14  # samples drawn, and screened, per numpy call
+_BUCKET_BITS = 20  # a screen has at most 2**20 + 1 buckets
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,57 +157,73 @@ def find_redundant(ruleset: Ruleset) -> set[int]:
 
 
 def _sample_outcomes(
-    domain: DomainSpec,
-    rules: tuple[Rule, ...],
-    columns: list[np.ndarray],
-    orders: dict[int, np.ndarray],
-) -> np.ndarray:
-    """First-match outcome code of every sample, -1 where no rule matches.
+    domain: DomainSpec, rule_lists: tuple[tuple[Rule, ...], ...], columns: list[np.ndarray]
+) -> tuple[list[np.ndarray], set[int]]:
+    """First-match outcome code of every sample under each rule list, -1
+    where no rule matches, and the attributes screened to find them.
 
     Each box looks only at the samples inside its range on the attribute
-    where it covers the smallest share of the domain: uniform samples
-    make that the attribute with the fewest expected hits.  ``orders``
-    holds each column some box has picked, sorted once: as the keys
-    ``(value - lo) << shift | position`` where they fit in int64, else as
-    its argsort.  Callers share it between rulesets checked on the same
-    columns.
+    where it covers the smallest share of the domain, the one with the
+    fewest expected hits.  One screen per such attribute serves every
+    list: it marks the buckets, ``2**s`` values wide and about one per
+    sample, that the boxes' ranges touch, gathers the samples in them a
+    chunk at a time and sorts those by value, so one vectorized binary
+    search bounds every box's samples.  A bucket is ``(v >> s) - (lo >> s)``,
+    which no int64 value overflows.  Boxes holding no sample are skipped;
+    the others, in rule order, claim the samples no earlier rule did and
+    that they hold on every attribute.
     """
     import numpy as np
     widths = [a.hi - a.lo + 1 for a in domain.attributes]
     size = columns[0].size
-    shift = (size - 1).bit_length()
-    mask = (1 << shift) - 1
-    out = np.full(size, -1, dtype=np.int8)
-    for rule in rules:
-        code = _OUTCOME_CODE[rule.decision]
-        for box in rule.condition:
-            k = min(range(len(box)), key=lambda j: (box[j][1] - box[j][0] + 1) / widths[j])
-            (lo, hi), base, col = box[k], domain.attributes[k].lo, columns[k]
-            packed = (widths[k] - 1).bit_length() + shift <= 63
-            if k not in orders:
-                orders[k] = (np.sort(((col.astype(np.int64) - base) << shift) | np.arange(size))
-                             if packed else np.argsort(col))
-            order = orders[k]
-            if packed:  # keys of lo..hi, searched from one below: no key passes 2**63 - 1
-                start, stop = order.searchsorted(
-                    (((lo - base) << shift) - 1, ((hi - base) << shift) | mask), side="right")
-                cand = order[start:stop] & mask
-            else:
-                start = np.searchsorted(col, lo, side="left", sorter=order)
-                stop = np.searchsorted(col, hi, side="right", sorter=order)
-                cand = order[start:stop]
-            cand = cand[out[cand] == -1]
-            for j, ((lo, hi), column) in enumerate(zip(box, columns)):
-                if j != k and cand.size:
-                    values = column[cand]
-                    cand = cand[(values >= lo) & (values <= hi)]
-            out[cand] = code
-    return out
+    picks = []  # (list, outcome code, box, attribute) per box, in rule order
+    for n, rules in enumerate(rule_lists):
+        for rule in rules:
+            for box in rule.condition:
+                shares = [(hi - lo + 1) / w for (lo, hi), w in zip(box, widths)]
+                picks.append((n, _OUTCOME_CODE[rule.decision], box, shares.index(min(shares))))
+    found = [None] * len(picks)  # each box's candidates: positions of its samples on k
+    bits = min(size.bit_length() - 1, _BUCKET_BITS)
+    screened = {k for *_, k in picks}
+    for k in screened:
+        mine = [i for i, pick in enumerate(picks) if pick[3] == k]
+        ranges = [picks[i][2][k] for i in mine]
+        a, col = domain.attributes[k], columns[k]
+        s = min(max((widths[k] - 1).bit_length() - bits, 0), 63)
+        first = a.lo >> s
+        marked = np.zeros((a.hi >> s) - first + 1, dtype=bool)
+        end = 0
+        for lo, hi in sorted(ranges):  # marks each bucket once
+            start, end = max((lo >> s) - first, end), max((hi >> s) - first + 1, end)
+            marked[start:end] = True
+        positions = np.concatenate([
+            np.flatnonzero(marked[(col[c:c + _CHUNK].astype(np.int64) >> s) - first]) + c
+            for c in range(0, size, _CHUNK)])
+        values = col[positions]
+        # a radix sort up to 16 bits, keeping equal values in position order
+        order = values.argsort(kind="stable" if values.itemsize <= 2 else "quicksort")
+        values, positions = values[order], positions[order]
+        los, his = np.array(ranges, dtype=values.dtype).T
+        bounds = zip(values.searchsorted(los).tolist(), values.searchsorted(his, "right").tolist())
+        for i, (start, stop) in zip(mine, bounds):
+            found[i] = positions[start:stop]
+    outs = [np.full(size, -1, dtype=np.int8) for _ in rule_lists]
+    for (n, code, box, k), cand in zip(picks, found):
+        if not cand.size:
+            continue
+        cand = cand[outs[n][cand] == -1]
+        for j, ((lo, hi), column) in enumerate(zip(box, columns)):
+            if j != k and cand.size:
+                values = column[cand]
+                cand = cand[(values >= lo) & (values <= hi)]
+        outs[n][cand] = code
+    return outs, screened
 
 
 def _sample_columns(domain: DomainSpec, samples: int, seed: int) -> list[np.ndarray]:
     """Seeded uniform random packets, one column per attribute, drawn as int64
-    and stored in the narrowest integer type that holds the attribute."""
+    in chunks, which continue one random stream, straight into the narrowest
+    integer type that holds the attribute."""
     import numpy as np
     for a in domain.attributes:
         if not -(2**63) <= a.lo <= a.hi < 2**63:
@@ -213,11 +232,14 @@ def _sample_columns(domain: DomainSpec, samples: int, seed: int) -> list[np.ndar
                 "sampling draws int64 packets"
             )
     rng = np.random.default_rng(seed)
-    return [
-        rng.integers(a.lo, a.hi, size=samples, endpoint=True, dtype=np.int64).astype(
-            next(t for t in _SAMPLE_TYPES if np.iinfo(t).min <= a.lo and a.hi <= np.iinfo(t).max))
-        for a in domain.attributes
-    ]
+    columns = []
+    for a in domain.attributes:
+        column = np.empty(samples, dtype=next(
+            t for t in _SAMPLE_TYPES if np.iinfo(t).min <= a.lo and a.hi <= np.iinfo(t).max))
+        for chunk in np.split(column, range(_CHUNK, samples, _CHUNK)):
+            chunk[:] = rng.integers(a.lo, a.hi, chunk.size, endpoint=True, dtype=np.int64)
+        columns.append(column)
+    return columns
 
 
 def sample_equivalent(r1: Ruleset, r2: Ruleset, samples: int, seed: int) -> EquivalenceResult:
@@ -232,9 +254,7 @@ def sample_equivalent(r1: Ruleset, r2: Ruleset, samples: int, seed: int) -> Equi
     if samples < 1:
         raise ValueError("samples must be >= 1")
     columns = _sample_columns(r1.domain, samples, seed)
-    orders: dict[int, np.ndarray] = {}
-    o1 = _sample_outcomes(r1.domain, r1.rules, columns, orders)
-    o2 = _sample_outcomes(r2.domain, r2.rules, columns, orders)
+    (o1, o2), _ = _sample_outcomes(r1.domain, (r1.rules, r2.rules), columns)
     diff = (o1 != o2).nonzero()[0]
     if diff.size == 0:
         return EquivalenceResult(True)

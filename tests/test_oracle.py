@@ -20,8 +20,9 @@ from fwaudit import (
     find_redundant,
     find_shadowed,
     sample_equivalent,
+    worst_case_family,
 )
-from fwaudit.oracle import _CODE_OUTCOME, Outcome, _sample_columns, _sample_outcomes
+from fwaudit.oracle import _CHUNK, _CODE_OUTCOME, Outcome, _sample_columns, _sample_outcomes
 from fwaudit.rules import Decision
 
 from conftest import SD, make_table1, rule
@@ -223,11 +224,38 @@ class TestSampleEquivalent:
         packets = [[int(v) for v in p] for p in zip(*_sample_columns(domain, 1000, 7))]
         assert "sha256:" + hashlib.sha256(json.dumps(packets).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("samples", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("domain", [
+        DomainSpec.five_tuple(),
+        DomainSpec.of(("a", -300, 300), ("b", -(2**62), 2**62), ("c", 0, 1)),
+        DomainSpec.of(("s", -(2**63), 2**63 - 1), ("t", 0, 255)),
+    ], ids=["five-tuple", "signed-and-wide", "int64"])
+    def test_chunked_draws_equal_one_shot_draws(self, domain, samples):
+        # draws continue one stream across chunks, so the chunk size never
+        # shows in the packets
+        rng = np.random.default_rng(11)
+        columns = _sample_columns(domain, samples, 11)
+        for a, column in zip(domain.attributes, columns):
+            one_shot = rng.integers(a.lo, a.hi, size=samples, endpoint=True, dtype=np.int64)
+            assert np.array_equal(column.astype(np.int64), one_shot)
+
+    def test_many_hits_past_the_chunk_size(self):
+        # nested boxes over most of a small domain: every bucket is marked
+        # and most samples are candidates of every box
+        ruleset = worst_case_family(7, 5)
+        samples = 40_000
+        assert samples > 2 * _CHUNK
+        columns = _sample_columns(ruleset.domain, samples, 5)
+        (codes,), _ = _sample_outcomes(ruleset.domain, (ruleset.rules,), columns)
+        assert (codes != -1).sum() > samples // 2
+        for packet, code in zip(_packets(columns), codes):
+            assert _CODE_OUTCOME[int(code)] is evaluate(ruleset, packet)
+
 
 @st.composite
 def _domains(draw):
     """1-3 attributes: small ranges with negative bounds, 2^40-wide ones, or
-    the full int64 range, too wide for packed sample keys."""
+    the full int64 range, where a bucket index taken as v - lo overflows."""
     attrs = []
     for k in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["small", "wide", "int64"]))
@@ -283,13 +311,12 @@ class TestSampledOutcomesProperty:
                      dtype=np.int64)
             for a in domain.attributes
         ]
-        orders = {}
-        codes = _sample_outcomes(domain, ruleset.rules, columns, orders)
+        (codes,), screened = _sample_outcomes(domain, (ruleset.rules,), columns)
         for packet, code in zip(_packets(columns), codes):
             assert _CODE_OUTCOME[int(code)] is evaluate(ruleset, packet)
-        # each box sorts only the attribute where it covers the least share
+        # each box screens only the attribute where it covers the least share
         widths = [a.hi - a.lo + 1 for a in domain.attributes]
-        assert set(orders) == {
+        assert screened == {
             min(range(domain.p), key=lambda j: box.intervals[j].size / widths[j])
             for r in ruleset.rules
             for box in r.condition
