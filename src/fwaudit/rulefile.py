@@ -29,7 +29,6 @@ earlier record of its rule.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -55,6 +54,9 @@ _FIELD_SEP_RE = re.compile(r",(?![^\[]*\])")
 
 
 def input_digest(text: str) -> str:
+    # loading OpenSSL costs about 3 ms, and only `fwaudit audit` takes a digest
+    import hashlib
+
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -128,6 +130,20 @@ def apply_domain_overrides(
     )
 
 
+def _domain(
+    header: str | None, lineno: int | None, overrides: dict[str, tuple[int, int]] | None
+) -> DomainSpec:
+    """The domain an ``@domain`` header line declares (the five-tuple when
+    ``header`` is None), with ``overrides`` applied."""
+    domain = DomainSpec.five_tuple()
+    if header is not None:
+        bounds = parse_domain_overrides(header[len("@domain") :], lineno)
+        if not bounds:
+            raise ParseError("@domain header declares no attributes", lineno)
+        domain = DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
+    return apply_domain_overrides(domain, overrides)
+
+
 def parse_ruleset(
     text: str, *, domain_overrides: dict[str, tuple[int, int]] | None = None
 ) -> Ruleset:
@@ -136,20 +152,108 @@ def parse_ruleset(
     ``domain_overrides`` replaces the bounds of named attributes after the
     header (or default) domain is established; it never changes the
     attribute layout.  Errors name the first bad line.
+
+    A text made only of records as ``serialize_ruleset`` writes them,
+    comment lines and blank lines is read in one scan (``_scan``); any
+    other text is read line by line (``_parse_lines``), which reports the
+    errors, so both readings give the same Ruleset or the same error.
     """
+    ruleset = _scan(text, domain_overrides)
+    return _parse_lines(text, domain_overrides) if ruleset is None else ruleset
+
+
+# str.splitlines breaks a line at each of these, and "\r\n" counts as one
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# lines that parse to nothing: blank, or a comment holding no line break
+_SKIPPED = rf"[ \t]*(?:#[^{_BREAKS}]*)?\n"
+_HEADER = rf"(@domain[^{_BREAKS}]*)\n"
+# a sign and at most 640 ASCII digits: int() reads them under any digit
+# limit sys.set_int_max_str_digits accepts
+_INT = r"(-?[0-9]{1,640})"
+_DECISIONS = {d.value: d for d in Decision}
+
+
+def _record_re(p: int) -> re.Pattern[str]:
+    """One line that is a skipped line, or a record of ``p`` condition tokens
+    as ``serialize_ruleset`` writes it.  A record's groups are the order
+    value's two parts, then per attribute a single value's integer and a
+    range's two (all empty for ``any``), then the decision."""
+    token = rf"(?:any|{_INT}|\[{_INT},{_INT}\])"
+    order = r"([0-9]{1,640})(?:\.([0-9]{1,640}))?"
+    tokens = ", ".join([token] * p)
+    return re.compile(rf"^(?:{order}, {tokens}, (accept|deny)\n|{_SKIPPED})", re.MULTILINE)
+
+
+def _scan(text: str, overrides: dict[str, tuple[int, int]] | None) -> Ruleset | None:
+    """The Ruleset of ``text``, read by one pattern over the whole text, or
+    None unless every line is a skipped line or a valid record as
+    ``serialize_ruleset`` writes it, after a header that only skipped
+    lines precede.  Only the header can raise, as in ``_parse_lines``; a
+    record the checks refuse makes the scan return None."""
+    if not text.endswith("\n"):
+        text += "\n"
+    # the patterns compile on first use, which re caches, not at import
+    pos = re.compile(f"(?:{_SKIPPED})*").match(text).end()
+    if m := re.compile(_HEADER).match(text, pos):
+        domain = _domain(m[1].strip(), text.count("\n", 0, pos) + 1, overrides)
+        pos = m.end()
+    elif text[pos : pos + 1] in "0123456789":  # a record, or the end of the text
+        domain = _domain(None, None, overrides)
+    else:
+        return None
+    records = _record_re(domain.p).findall(text, pos)
+    # each match is one whole line, so a line no pattern takes leaves a gap
+    if len(records) != text.count("\n", pos):
+        return None
+    bounds = [(a.lo, a.hi, Interval(a.lo, a.hi)) for a in domain.attributes]
+    interval = tuple.__new__  # Interval(a, b) without its check, which the scan makes
+    rules: list[Rule] = []
+    last_key = (0, 0)  # below every valid order value
+    for groups in records:
+        if not groups[0]:  # a skipped line
+            continue
+        major = int(groups[0])
+        key = (major, int(groups[1] or 0))
+        if major < 1 or key <= last_key:
+            return None
+        last_key = key
+        box = []
+        values = iter(groups[2:-1])
+        for (lo, hi, whole), value, a, b in zip(bounds, values, values, values):
+            if value:
+                a = b = int(value)
+            elif a:
+                a, b = int(a), int(b)
+            else:
+                box.append(whole)
+                continue
+            if not lo <= a <= b <= hi:
+                return None
+            box.append(interval(Interval, (a, b)))
+        box = Box(box)
+        decision = _DECISIONS[groups[-1]]
+        if rules and rules[-1].position == major:
+            prev = rules[-1]
+            if prev.decision is not decision or any(box_intersects(box, c) for c in prev.condition):
+                return None
+            rules[-1] = Rule(major, prev.condition + (box,), decision)
+        else:
+            rules.append(Rule(major, (box,), decision))
+    return Ruleset(domain, tuple(rules))
+
+
+def _parse_lines(text: str, overrides: dict[str, tuple[int, int]] | None) -> Ruleset:
+    """``parse_ruleset`` line by line, for any text: every token form, any
+    whitespace and line breaks; raises at the first bad line."""
     lines = [
         (lineno, line)
         for lineno, raw in enumerate(text.splitlines(), start=1)
         if (line := raw.strip()) and not line.startswith("#")
     ]
-    domain = DomainSpec.five_tuple()
+    header = lineno = None
     if lines and lines[0][1].startswith("@domain"):
         lineno, header = lines.pop(0)
-        bounds = parse_domain_overrides(header[len("@domain") :], lineno)
-        if not bounds:
-            raise ParseError("@domain header declares no attributes", lineno)
-        domain = DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
-    domain = apply_domain_overrides(domain, domain_overrides)
+    domain = _domain(header, lineno, overrides)
     wholes = [Interval(a.lo, a.hi) for a in domain.attributes]  # shared by every "any"
 
     rules: list[Rule] = []
@@ -166,7 +270,10 @@ def parse_ruleset(
         m = _ORDER_RE.match(fields[0])
         if not m:
             raise ParseError(f"bad order value {fields[0]!r}", lineno)
-        major, minor = int(m.group(1)), int(m.group(2) or 0)
+        try:
+            major, minor = int(m.group(1)), int(m.group(2) or 0)
+        except ValueError:  # more digits than int() reads
+            raise ParseError("order value has more digits than int() reads", lineno) from None
         if major < 1:
             raise ValidationError(f"line {lineno}: order must be >= 1")
         if (major, minor) <= last_key:

@@ -388,6 +388,14 @@ def test_domain_bound_longer_than_int_reads_exits_2(tmp_path, capsys):
         assert err == f"error: {where}domain bound of source has more digits than int() reads\n"
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() reads integers of any length here")
+def test_order_longer_than_int_reads_exits_2(tmp_path, capsys):
+    path = _file(tmp_path / "long.rules", "1" + "0" * 5000 + ", any, any, any, any, any, accept\n")
+    assert main(["audit", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 1: order value has more digits than int() reads\n"
+
+
 class TestUsage:
     def test_no_subcommand_exits_2(self, capsys):
         assert main([]) == 2

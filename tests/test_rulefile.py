@@ -2,6 +2,7 @@ import ipaddress
 import json
 import re
 import sys
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,16 @@ from fwaudit import (
     parse_ruleset,
     serialize_ruleset,
 )
-from fwaudit.rulefile import ReportDocument, input_digest, parse_domain_overrides
+from fwaudit.intervals import box_intersects
+from fwaudit.rulefile import (
+    PROTOCOL_NAMES,
+    ReportDocument,
+    _scan,
+    apply_domain_overrides,
+    input_digest,
+    parse_domain_overrides,
+)
+from fwaudit.rules import Decision, Rule
 
 from conftest import FIXTURES, rule
 
@@ -162,6 +172,15 @@ class TestParse:
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="int() reads integers of any length here")
+    @pytest.mark.parametrize("order", ["1" + "0" * 5000, "2." + "0" * 5000],
+                             ids=["value", "sub-index"])
+    def test_order_longer_than_int_reads_is_a_parse_error(self, order):
+        message = r"^line 3: order value has more digits than int\(\) reads$"
+        with pytest.raises(ParseError, match=message):
+            parse_ruleset(self.SIGNED + f"{order}, 7, deny\n")
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() reads integers of any length here")
     def test_domain_bound_longer_than_int_reads_is_a_parse_error(self):
         bounds = f"n=[0,{'9' * 5000}]"
         message = r"domain bound of n has more digits than int\(\) reads$"
@@ -214,6 +233,254 @@ class TestParse:
     def test_parse_domain_overrides_string(self):
         got = parse_domain_overrides("source=[1,100], destination=[1,100]")
         assert got == {"source": (1, 100), "destination": (1, 100)}
+
+
+# The per-line parser as it stood before parse_ruleset read records in one
+# scan, with only its order value's digit check added since: the reference
+# the scan is compared against.
+_REF_ORDER_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")
+_REF_RANGE_RE = re.compile(r"^\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]$")
+_REF_QUAD_RE = re.compile(r"^(\d+)\.(\d+)\.(\d+)\.(?:(\d+)|\[\s*(\d+)\s*,\s*(\d+)\s*\])$")
+_REF_FIELD_SEP_RE = re.compile(r",(?![^\[]*\])")
+
+
+def _reference_value(token, attr, whole, line):
+    if token == "any":
+        return whole
+    try:
+        if attr.name == "protocol" and token.lower() in PROTOCOL_NAMES:
+            a = b = PROTOCOL_NAMES[token.lower()]
+        elif token.removeprefix("-").isdecimal():
+            a = b = int(token)
+        elif m := _REF_RANGE_RE.match(token):
+            a, b = int(m.group(1)), int(m.group(2))
+        elif m := _REF_QUAD_RE.match(token):
+            *net, last, lo, hi = m.groups()
+            octets = [int(x) for x in (*net, last or lo, last or hi)]
+            for o in octets:
+                if o > 255:
+                    raise ValidationError(f"line {line}: IPv4 octet {o} out of range")
+            base = (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8)
+            a, b = base + octets[3], base + octets[4]
+        else:
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"bad condition value {token!r} for attribute {attr.name}", line) from None
+    if a > b:
+        raise ValidationError(f"line {line}: inverted range [{a},{b}] on attribute {attr.name}")
+    if a < attr.lo or b > attr.hi:
+        raise DomainError(
+            f"line {line}: [{a},{b}] outside attribute {attr.name} [{attr.lo},{attr.hi}]"
+        )
+    return Interval(a, b)
+
+
+def _reference_parse(text, domain_overrides=None):
+    lines = [
+        (lineno, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    domain = DomainSpec.five_tuple()
+    if lines and lines[0][1].startswith("@domain"):
+        lineno, header = lines.pop(0)
+        bounds = parse_domain_overrides(header[len("@domain") :], lineno)
+        if not bounds:
+            raise ParseError("@domain header declares no attributes", lineno)
+        domain = DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
+    domain = apply_domain_overrides(domain, domain_overrides)
+    wholes = [Interval(a.lo, a.hi) for a in domain.attributes]
+    rules = []
+    last_key = (0, 0)
+    for lineno, line in lines:
+        if line.startswith("@domain"):
+            raise ParseError("@domain header must be the first non-comment line", lineno)
+        fields = [f.strip() for f in _REF_FIELD_SEP_RE.split(line)]
+        if len(fields) != domain.p + 2:
+            raise ParseError(
+                f"expected {domain.p + 2} fields (order, {domain.p} conditions, decision), got {len(fields)}",
+                lineno,
+            )
+        m = _REF_ORDER_RE.match(fields[0])
+        if not m:
+            raise ParseError(f"bad order value {fields[0]!r}", lineno)
+        try:
+            major, minor = int(m.group(1)), int(m.group(2) or 0)
+        except ValueError:
+            raise ParseError("order value has more digits than int() reads", lineno) from None
+        if major < 1:
+            raise ValidationError(f"line {lineno}: order must be >= 1")
+        if (major, minor) <= last_key:
+            raise ValidationError(f"line {lineno}: order values must be strictly increasing")
+        last_key = (major, minor)
+        try:
+            decision = Decision(fields[-1].lower())
+        except ValueError:
+            raise ParseError(f"bad decision {fields[-1]!r} (want accept or deny)", lineno) from None
+        box = Box(map(_reference_value, fields[1:-1], domain.attributes, wholes, repeat(lineno)))
+        if rules and rules[-1].position == major:
+            prev = rules[-1]
+            if prev.decision is not decision:
+                raise ValidationError(
+                    f"line {lineno}: records of rule {major} disagree on the decision"
+                )
+            if any(box_intersects(box, b) for b in prev.condition):
+                raise ValidationError(
+                    f"line {lineno}: record overlaps an earlier record of rule {major}"
+                )
+            rules[-1] = Rule(major, prev.condition + (box,), decision)
+        else:
+            rules.append(Rule(major, (box,), decision))
+    return Ruleset(domain, tuple(rules))
+
+
+def _outcome(parse, text, overrides):
+    try:
+        return parse(text, domain_overrides=overrides)
+    except FwAuditError as e:
+        return type(e), str(e)
+
+
+LONG = "9" * 5000  # more digits than int() reads by default
+# (name, lo, hi): "protocol" takes names, "addr" dotted quads
+NARROW = [("protocol", 0, 20), ("x", -5, 40), ("addr", 167772160, 167772415)]
+FIVE = [(a.name, a.lo, a.hi) for a in DomainSpec.five_tuple().attributes]
+
+
+# the ways a generated text departs from what serialize_ruleset writes
+ODD_KINDS = ["header", "bound", "inverted", "form", "bad token", "order", "overlap", "arity",
+             "decision", "separator", "skipped", "later", "break", "pad", "lead", "end"]
+
+
+@st.composite
+def _rule_texts(draw):
+    """Rule-file texts as serialize_ruleset writes them, with a drawn set of
+    departures (hand-written forms, other line breaks, bad lines) mixed in
+    at a drawn rate."""
+    kinds = draw(st.sets(st.sampled_from(ODD_KINDS), max_size=2))
+    rate = draw(st.sampled_from([0.05, 0.2, 0.5]))
+
+    def odd(kind):
+        return kind in kinds and draw(st.floats(0, 1)) < rate
+
+    if draw(st.booleans()):
+        attrs = FIVE
+        header = "" if draw(st.booleans()) else "@domain " + ", ".join(
+            f"{n}=[{lo},{hi}]" for n, lo, hi in FIVE)
+    else:
+        attrs = NARROW[: draw(st.integers(1, 3))]
+        header = "@domain " + ", ".join(f"{n}=[{lo},{hi}]" for n, lo, hi in attrs)
+    if odd("header"):
+        header = draw(st.sampled_from([header + " ", " " + header, "@domain ", header + ", x=[3,1]"]))
+
+    def value(lo, hi):
+        if odd("bound"):
+            return draw(st.sampled_from([lo - 1, hi + 1]))
+        return draw(st.integers(lo, min(hi, lo + 60)))  # near lo, so that ranges overlap
+
+    def token(name, lo, hi):
+        if odd("form"):  # hand-written forms, valid where the attribute takes them
+            forms = {"protocol": ["tcp", "UDP", "icmp"], "addr": ["10.0.0.7", "10.0.0.[1,30]"]}
+            forms["source"] = forms["destination"] = forms["addr"]
+            return draw(st.sampled_from([f"[ {lo} , {lo + 1} ]", "٥", f"{lo:07d}", *forms.get(name, [])]))
+        if odd("bad token"):
+            return draw(st.sampled_from([
+                "tcp", "10.0.0.7", "10.0.0.[30,1]", "10.0.0.300", "-٥", "+5", "what", LONG,
+                f"[{LONG},1]", "",
+            ]))
+        kind = draw(st.sampled_from(["any", "value", "range"]))
+        if kind == "any":
+            return "any"
+        a, b = sorted((value(lo, hi), value(lo, hi)))
+        if kind == "value":
+            return str(a)
+        return f"[{b},{a}]" if a < b and odd("inverted") else f"[{a},{b}]"
+
+    lines = [header] if header else []
+    major = 0
+    for _ in range(draw(st.integers(0, 8))):
+        if odd("skipped"):
+            lines.append(draw(st.sampled_from(["", "   ", "# note", "\t# note, 1, 2", "#"])))
+        major += draw(st.integers(-1, 0)) if odd("order") else draw(st.integers(1, 3))
+        boxes = draw(st.integers(1, 3))
+        decision = draw(st.sampled_from(["accept", "deny"]))
+        for k in range(1, boxes + 1):
+            order = str(major) if boxes == 1 else f"{major}.{k}"
+            if odd("order"):
+                order = draw(st.sampled_from(["0", f"{major}.", f"{major}.{k}.1", "1" + LONG, "٣", f" {major}"]))
+            toks = [token(*a) for a in attrs]
+            if boxes > 1 and not odd("overlap"):  # sub-records differ on their first attribute
+                toks[0] = str(attrs[0][1] + k)
+            if odd("arity"):
+                toks = toks[:-1] if draw(st.booleans()) else toks + ["any"]
+            dec = decision
+            if odd("decision"):
+                dec = draw(st.sampled_from(["DENY", "drop", "accept", "deny"]))
+            sep = draw(st.sampled_from([",", " , ", ",  "])) if odd("separator") else ", "
+            lines.append(sep.join([order, *toks, dec]))
+        if odd("later"):
+            lines.append(draw(st.sampled_from(["@domain x=[0,9]", "# a\u2028" + lines[-1]])))
+    breaks = [draw(st.sampled_from(["\r\n", "\x0c", "\u2028", "\r", " "])) if odd("break") else "\n"
+              for _ in lines]
+    pads = [(" " if odd("pad") else "") for _ in range(2 * len(lines))]
+    text = "".join(pads[2 * i] + line + pads[2 * i + 1] + brk
+                   for i, (line, brk) in enumerate(zip(lines, breaks)))
+    if odd("lead"):
+        text = draw(st.sampled_from(["# leading comment\n", "\n", "  \n# c\n", "\xa0\n"])) + text
+    if odd("end"):
+        text = text.rstrip("\n")
+    return text
+
+
+class TestScan:
+    """parse_ruleset reads records as serialize_ruleset writes them in one scan
+    and hands every other text to the per-line parser; either way it must
+    give what the per-line parser alone gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_rule_texts(),
+           overrides=st.sampled_from([None, None, None, None, {"x": (-3, 30)}, {"nope": (0, 1)}]))
+    def test_parse_equals_the_per_line_parser(self, text, overrides):
+        assert _outcome(parse_ruleset, text, overrides) == _outcome(_reference_parse, text, overrides)
+
+    @pytest.mark.parametrize("records", [
+        "1.1, 1, any, deny\n1.2, 2, any, accept\n",
+        "1.1, [0,5], any, deny\n1.2, [3,8], any, deny\n",
+        "0, any, any, deny\n",
+        "2, any, any, deny\n1, any, any, deny\n",
+        "1, [5,3], any, deny\n",
+        "1, any, 10, deny\n",
+        "1, [-1,3], any, deny\n",
+        f"1, {LONG}, any, deny\n",
+        f"{LONG}, any, any, deny\n",
+    ], ids=["decisions", "overlap", "order 0", "order down", "inverted", "above", "below",
+            "long value", "long order"])
+    def test_a_record_the_scan_refuses_fails_as_line_by_line(self, records):
+        text = "@domain a=[0,9], b=[0,9]\n# c\n" + records + "9, any, any, accept\n"
+        assert _scan(text, None) is None
+        assert isinstance(failed := _outcome(parse_ruleset, text, None), tuple)
+        assert failed == _outcome(_reference_parse, text, None)
+
+    def test_the_scan_reads_tool_written_files_with_comments(self):
+        text = (FIXTURES / "table1.rules").read_text()
+        lines = text.splitlines()
+        annotated = "# audited\n\n" + lines[0] + "\n" + "".join(
+            f"{line}\n\n# after {line[:3]}\n" for line in lines[1:])
+        for t in (text, annotated, text.rstrip("\n")):
+            assert _scan(t, None) == _reference_parse(t)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n", "\u2028"),
+        lambda t: t.replace("any", " any"),
+        lambda t: t.replace("deny", "DENY"),
+        lambda t: t.replace("# ", "# \x0c# "),  # \x0c breaks the comment in two
+        lambda t: "\xa0" + t,
+    ])
+    def test_the_scan_hands_other_forms_over(self, edit):
+        text = "# c\n" + (FIXTURES / "table1.rules").read_text()
+        assert _scan(edit(text), None) is None
+        assert parse_ruleset(edit(text)) == parse_ruleset(text)
 
 
 class TestSerialize:
