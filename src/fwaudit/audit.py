@@ -126,12 +126,11 @@ class _Index:
 
     def touching(
         self, conds: Sequence[Sequence[Pairs]], i: int, later: bool,
-        same_decision: bool | None = None, mask: list[bool] | None = None,
+        same_decision: bool | None = None,
     ) -> list[int]:
         """Rows after (``later``) or before row i, ascending, that the index
-        lists for it, whose condition in ``conds`` is not empty, that have
-        the same (True) or a differing (False) decision when asked, and that
-        ``mask`` keeps."""
+        lists for it, whose condition in ``conds`` is not empty, and that
+        have the same (True) or a differing (False) decision when asked."""
         start, stop = (self.split[i], self.ptr[i + 1]) if later else (self.ptr[i], self.split[i])
         if start == stop:
             return []
@@ -140,7 +139,7 @@ class _Index:
         want = None if same_decision is None else accept[i] == same_decision
         return [
             j for j in self.nbr[start:stop]
-            if conds[j] and (want is None or accept[j] == want) and (mask is None or mask[j])
+            if conds[j] and (want is None or accept[j] == want)
         ]
 
 
@@ -279,7 +278,7 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     is_shadowed = functools.cache(lambda j: _shadowed_in(original, index, j))
     kinds = _empty_input_labels(conds)
     n = len(conds)
-    emptied = [False] * n
+    emptied: list[Sequence[Pairs]] = [()] * n  # the input condition of each rule phase 2 emptied
 
     for i in range(n - 1):
         _exclude_forward(conds, index, kinds, i, False)
@@ -291,8 +290,8 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
             # would only relabel a rule that is not really there anymore.
             continue
         effective = conds[i]
-        for k in index.touching(original, i, False, same_decision=True, mask=emptied):
-            effective = exclude(effective, original[k])
+        for k in index.touching(emptied, i, False, same_decision=True):
+            effective = exclude(effective, emptied[k])
             if not effective:
                 break
         absorbed = _absorbed_by_later(conds, index, i)
@@ -303,7 +302,7 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
             kinds[i] = WarningKind.REDUNDANCY
         if absorbed and kinds[i] is not None:
             conds[i] = ()
-            emptied[i] = True
+            emptied[i] = original[i]
         else:
             _exclude_forward(conds, index, kinds, i, True)
     return _assemble("complete", ruleset, conds, kinds, t0)

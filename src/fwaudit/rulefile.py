@@ -82,6 +82,11 @@ def _parse_value(token: str, attr: AttributeDomain, whole: Interval, line: int) 
             raise ValueError
     except ValueError:  # no token form, or more digits than int() reads
         raise ParseError(f"bad condition value {token!r} for attribute {attr.name}", line) from None
+    return _interval(a, b, attr, line)
+
+
+def _interval(a: int, b: int, attr: AttributeDomain, line: int) -> Interval:
+    """The Interval [a,b] of ``attr``; an inverted or out-of-domain one is an error on ``line``."""
     if a > b:
         raise ValidationError(f"line {line}: inverted range [{a},{b}] on attribute {attr.name}")
     if a < attr.lo or b > attr.hi:
@@ -130,20 +135,6 @@ def apply_domain_overrides(
     )
 
 
-def _domain(
-    header: str | None, lineno: int | None, overrides: dict[str, tuple[int, int]] | None
-) -> DomainSpec:
-    """The domain an ``@domain`` header line declares (the five-tuple when
-    ``header`` is None), with ``overrides`` applied."""
-    domain = DomainSpec.five_tuple()
-    if header is not None:
-        bounds = parse_domain_overrides(header[len("@domain") :], lineno)
-        if not bounds:
-            raise ParseError("@domain header declares no attributes", lineno)
-        domain = DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
-    return apply_domain_overrides(domain, overrides)
-
-
 def parse_ruleset(
     text: str, *, domain_overrides: dict[str, tuple[int, int]] | None = None
 ) -> Ruleset:
@@ -153,137 +144,85 @@ def parse_ruleset(
     header (or default) domain is established; it never changes the
     attribute layout.  Errors name the first bad line.
 
-    A text made only of records as ``serialize_ruleset`` writes them,
-    comment lines and blank lines is read in one scan (``_scan``); any
-    other text is read line by line (``_parse_lines``), which reports the
-    errors, so both readings give the same Ruleset or the same error.
+    Every line is one match of one pattern (``_line_re``): a record as
+    ``serialize_ruleset`` writes it comes out split into its tokens, and
+    any other line is split here, so that any whitespace and every token
+    form parse; both kinds of line take the same checks.
     """
-    ruleset = _scan(text, domain_overrides)
-    return _parse_lines(text, domain_overrides) if ruleset is None else ruleset
-
-
-# str.splitlines breaks a line at each of these, and "\r\n" counts as one
-_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# lines that parse to nothing: blank, or a comment holding no line break
-_SKIPPED = rf"[ \t]*(?:#[^{_BREAKS}]*)?\n"
-_HEADER = rf"(@domain[^{_BREAKS}]*)\n"
-# a sign and at most 640 ASCII digits: int() reads them under any digit
-# limit sys.set_int_max_str_digits accepts
-_INT = r"(-?[0-9]{1,640})"
-_DECISIONS = {d.value: d for d in Decision}
-
-
-def _record_re(p: int) -> re.Pattern[str]:
-    """One line that is a skipped line, or a record of ``p`` condition tokens
-    as ``serialize_ruleset`` writes it.  A record's groups are the order
-    value's two parts, then per attribute a single value's integer and a
-    range's two (all empty for ``any``), then the decision."""
-    token = rf"(?:any|{_INT}|\[{_INT},{_INT}\])"
-    order = r"([0-9]{1,640})(?:\.([0-9]{1,640}))?"
-    tokens = ", ".join([token] * p)
-    return re.compile(rf"^(?:{order}, {tokens}, (accept|deny)\n|{_SKIPPED})", re.MULTILINE)
-
-
-def _scan(text: str, overrides: dict[str, tuple[int, int]] | None) -> Ruleset | None:
-    """The Ruleset of ``text``, read by one pattern over the whole text, or
-    None unless every line is a skipped line or a valid record as
-    ``serialize_ruleset`` writes it, after a header that only skipped
-    lines precede.  Only the header can raise, as in ``_parse_lines``; a
-    record the checks refuse makes the scan return None."""
     if not text.endswith("\n"):
-        text += "\n"
-    # the patterns compile on first use, which re caches, not at import
-    pos = re.compile(f"(?:{_SKIPPED})*").match(text).end()
-    if m := re.compile(_HEADER).match(text, pos):
-        domain = _domain(m[1].strip(), text.count("\n", 0, pos) + 1, overrides)
-        pos = m.end()
-    elif text[pos : pos + 1] in "0123456789":  # a record, or the end of the text
-        domain = _domain(None, None, overrides)
-    else:
-        return None
-    records = _record_re(domain.p).findall(text, pos)
-    # each match is one whole line, so a line no pattern takes leaves a gap
-    if len(records) != text.count("\n", pos):
-        return None
-    bounds = [(a.lo, a.hi, Interval(a.lo, a.hi)) for a in domain.attributes]
-    interval = tuple.__new__  # Interval(a, b) without its check, which the scan makes
+        text += "\n"  # so that the last line ends in a break too
+    # the blank and comment lines before an optional @domain header; the
+    # patterns compile on first use, which re caches, not at import
+    head = re.compile(
+        rf"((?:{_SPACE}*(?:#[^{_BREAKS}]*)?{_EOL})*)(?:{_SPACE}*(@domain[^{_BREAKS}]*){_EOL})?"
+    ).match(text)
+    lineno = len(head[1].splitlines()) + 1
+    domain = DomainSpec.five_tuple()
+    if (header := head[2]) is not None:
+        bounds = parse_domain_overrides(header[len("@domain") :], lineno)
+        if not bounds:
+            raise ParseError("@domain header declares no attributes", lineno)
+        domain = DomainSpec.of(*((name, lo, hi) for name, (lo, hi) in bounds.items()))
+        lineno += 1
+    domain = apply_domain_overrides(domain, domain_overrides)
+    attrs = domain.attributes
+    wholes = [Interval(a.lo, a.hi) for a in attrs]  # shared by every "any"
+    checks = [(a.lo, a.hi, whole, a) for a, whole in zip(attrs, wholes)]
+    interval = tuple.__new__  # Interval(a, b) without its check, which is made inline
+
     rules: list[Rule] = []
     last_key = (0, 0)  # below every valid order value
-    for groups in records:
-        if not groups[0]:  # a skipped line
-            continue
-        major = int(groups[0])
-        key = (major, int(groups[1] or 0))
-        if major < 1 or key <= last_key:
-            return None
-        last_key = key
-        box = []
-        values = iter(groups[2:-1])
-        for (lo, hi, whole), value, a, b in zip(bounds, values, values, values):
-            if value:
-                a = b = int(value)
-            elif a:
-                a, b = int(a), int(b)
-            else:
-                box.append(whole)
-                continue
-            if not lo <= a <= b <= hi:
-                return None
-            box.append(interval(Interval, (a, b)))
-        box = Box(box)
-        decision = _DECISIONS[groups[-1]]
-        if rules and rules[-1].position == major:
-            prev = rules[-1]
-            if prev.decision is not decision or any(box_intersects(box, c) for c in prev.condition):
-                return None
-            rules[-1] = Rule(major, prev.condition + (box,), decision)
+    for lineno, groups in enumerate(_line_re(domain.p).findall(text, head.end()), lineno):
+        if record := groups[0]:
+            major = int(record)
+            key = (major, int(groups[1] or 0))
         else:
-            rules.append(Rule(major, (box,), decision))
-    return Ruleset(domain, tuple(rules))
-
-
-def _parse_lines(text: str, overrides: dict[str, tuple[int, int]] | None) -> Ruleset:
-    """``parse_ruleset`` line by line, for any text: every token form, any
-    whitespace and line breaks; raises at the first bad line."""
-    lines = [
-        (lineno, line)
-        for lineno, raw in enumerate(text.splitlines(), start=1)
-        if (line := raw.strip()) and not line.startswith("#")
-    ]
-    header = lineno = None
-    if lines and lines[0][1].startswith("@domain"):
-        lineno, header = lines.pop(0)
-    domain = _domain(header, lineno, overrides)
-    wholes = [Interval(a.lo, a.hi) for a in domain.attributes]  # shared by every "any"
-
-    rules: list[Rule] = []
-    last_key = (0, 0)  # below every valid order value
-    for lineno, line in lines:
-        if line.startswith("@domain"):
-            raise ParseError("@domain header must be the first non-comment line", lineno)
-        fields = [f.strip() for f in _FIELD_SEP_RE.split(line)]
-        if len(fields) != domain.p + 2:
-            raise ParseError(
-                f"expected {domain.p + 2} fields (order, {domain.p} conditions, decision), got {len(fields)}",
-                lineno,
-            )
-        m = _ORDER_RE.match(fields[0])
-        if not m:
-            raise ParseError(f"bad order value {fields[0]!r}", lineno)
-        try:
-            major, minor = int(m.group(1)), int(m.group(2) or 0)
-        except ValueError:  # more digits than int() reads
-            raise ParseError("order value has more digits than int() reads", lineno) from None
+            line = groups[-1].strip()
+            if not line or line[0] == "#":
+                continue
+            if line.startswith("@domain"):
+                raise ParseError("@domain header must be the first non-comment line", lineno)
+            fields = [f.strip() for f in _FIELD_SEP_RE.split(line)]
+            if len(fields) != domain.p + 2:
+                raise ParseError(
+                    f"expected {domain.p + 2} fields (order, {domain.p} conditions, decision), got {len(fields)}",
+                    lineno,
+                )
+            m = _ORDER_RE.match(fields[0])
+            if not m:
+                raise ParseError(f"bad order value {fields[0]!r}", lineno)
+            try:
+                major = int(m.group(1))
+                key = (major, int(m.group(2) or 0))
+            except ValueError:  # more digits than int() reads
+                raise ParseError("order value has more digits than int() reads", lineno) from None
         if major < 1:
             raise ValidationError(f"line {lineno}: order must be >= 1")
-        if (major, minor) <= last_key:
+        if key <= last_key:
             raise ValidationError(f"line {lineno}: order values must be strictly increasing")
-        last_key = (major, minor)
-        try:
-            decision = Decision(fields[-1].lower())
-        except ValueError:
-            raise ParseError(f"bad decision {fields[-1]!r} (want accept or deny)", lineno) from None
-        box = Box(map(_parse_value, fields[1:-1], domain.attributes, wholes, repeat(lineno)))
+        last_key = key
+        if record:
+            decision = _DECISIONS[groups[-2]]
+            box = []
+            values = iter(groups[2:-2])
+            for (lo, hi, whole, attr), value, a, b in zip(checks, values, values, values):
+                if value:
+                    a = b = int(value)
+                elif a:
+                    a, b = int(a), int(b)
+                else:
+                    box.append(whole)
+                    continue
+                box.append(
+                    interval(Interval, (a, b)) if lo <= a <= b <= hi else _interval(a, b, attr, lineno)
+                )
+            box = Box(box)
+        else:
+            try:
+                decision = Decision(fields[-1].lower())
+            except ValueError:
+                raise ParseError(f"bad decision {fields[-1]!r} (want accept or deny)", lineno) from None
+            box = Box(map(_parse_value, fields[1:-1], attrs, wholes, repeat(lineno)))
         if rules and rules[-1].position == major:
             # a sub-record: one more box of the rule before it
             prev = rules[-1]
@@ -299,6 +238,29 @@ def _parse_lines(text: str, overrides: dict[str, tuple[int, int]] | None) -> Rul
         else:
             rules.append(Rule(major, (box,), decision))
     return Ruleset(domain, tuple(rules))
+
+
+# str.splitlines breaks a line at each of these, and "\r\n" counts as one
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_EOL = rf"(?:\r\n|[{_BREAKS}])"
+# whitespace that breaks no line: with the breaks, what str.strip() removes
+_SPACE = rf"[^\S{_BREAKS}]"
+# a sign and at most 640 ASCII digits: int() reads them under any digit
+# limit sys.set_int_max_str_digits accepts
+_INT = r"(-?[0-9]{1,640})"
+_DECISIONS = {d.value: d for d in Decision}
+
+
+def _line_re(p: int) -> re.Pattern[str]:
+    """One line of a file with ``p`` attributes: a record as
+    ``serialize_ruleset`` writes it, or else any line.  A record's groups
+    are the order value's two parts, then per attribute a single value's
+    integer and a range's two (all empty for ``any``), then the decision;
+    the last group, empty for a record, holds any other line."""
+    token = rf"(?:any|{_INT}|\[{_INT},{_INT}\])"
+    order = r"([0-9]{1,640})(?:\.([0-9]{1,640}))?"
+    tokens = ", ".join([token] * p)
+    return re.compile(rf"{order}, {tokens}, (accept|deny){_EOL}|([^{_BREAKS}]*){_EOL}")
 
 
 def _format_interval(iv: Interval, attr: AttributeDomain) -> str:

@@ -23,11 +23,11 @@ from fwaudit import (
     parse_ruleset,
     serialize_ruleset,
 )
+from fwaudit import rulefile
 from fwaudit.intervals import box_intersects
 from fwaudit.rulefile import (
     PROTOCOL_NAMES,
     ReportDocument,
-    _scan,
     apply_domain_overrides,
     input_digest,
     parse_domain_overrides,
@@ -78,7 +78,8 @@ class TestParse:
         assert rs.rules[1].condition[0].intervals[0] == Interval(1, 1)
 
     def test_comments_and_blank_lines(self):
-        rs = parse_ruleset("# heading\n\n1, any, any, any, any, any, accept\n# trailing\n")
+        rs = parse_ruleset("# heading\n \t# indented\n\n1, any, any, any, any, any, accept\n"
+                           "\t# indented\n# trailing\n")
         assert len(rs.rules) == 1
 
     def test_whitespace_tolerant(self):
@@ -432,10 +433,28 @@ def _rule_texts(draw):
     return text
 
 
+# records in the form serialize_ruleset writes that a check refuses; each
+# fails on the line that holds it, after any kind of line break
+BAD_RECORDS = {
+    "decisions": "1.1, 1, any, deny\n1.2, 2, any, accept\n",
+    "overlap": "1.1, [0,5], any, deny\n1.2, [3,8], any, deny\n",
+    "order 0": "0, any, any, deny\n",
+    "order down": "2, any, any, deny\n1, any, any, deny\n",
+    "inverted": "1, [5,3], any, deny\n",
+    "above": "1, any, 10, deny\n",
+    "below": "1, [-1,3], any, deny\n",
+    "long value": f"1, {LONG}, any, deny\n",
+    "long order": f"{LONG}, any, any, deny\n",
+}
+BREAKS = {"\n": "", "\r\n": " CRLF", "\x0c": " FF", "\u2028": " LS"}
+
+
 class TestScan:
-    """parse_ruleset reads records as serialize_ruleset writes them in one scan
-    and hands every other text to the per-line parser; either way it must
-    give what the per-line parser alone gives."""
+    """parse_ruleset scans the text once: records as serialize_ruleset
+    writes them come out split into their tokens, and every other line is
+    split in the loop.  Either way it must give what the reference
+    per-line parser gives: the same Ruleset, or the same error on the
+    same line."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=_rule_texts(),
@@ -443,21 +462,12 @@ class TestScan:
     def test_parse_equals_the_per_line_parser(self, text, overrides):
         assert _outcome(parse_ruleset, text, overrides) == _outcome(_reference_parse, text, overrides)
 
-    @pytest.mark.parametrize("records", [
-        "1.1, 1, any, deny\n1.2, 2, any, accept\n",
-        "1.1, [0,5], any, deny\n1.2, [3,8], any, deny\n",
-        "0, any, any, deny\n",
-        "2, any, any, deny\n1, any, any, deny\n",
-        "1, [5,3], any, deny\n",
-        "1, any, 10, deny\n",
-        "1, [-1,3], any, deny\n",
-        f"1, {LONG}, any, deny\n",
-        f"{LONG}, any, any, deny\n",
-    ], ids=["decisions", "overlap", "order 0", "order down", "inverted", "above", "below",
-            "long value", "long order"])
-    def test_a_record_the_scan_refuses_fails_as_line_by_line(self, records):
-        text = "@domain a=[0,9], b=[0,9]\n# c\n" + records + "9, any, any, accept\n"
-        assert _scan(text, None) is None
+    @pytest.mark.parametrize("records, brk", [
+        pytest.param(records, brk, id=name + suffix)
+        for name, records in BAD_RECORDS.items() for brk, suffix in BREAKS.items()
+    ])
+    def test_a_record_the_scan_refuses_fails_as_line_by_line(self, records, brk):
+        text = ("@domain a=[0,9], b=[0,9]\n# c\n" + records + "9, any, any, accept\n").replace("\n", brk)
         assert isinstance(failed := _outcome(parse_ruleset, text, None), tuple)
         assert failed == _outcome(_reference_parse, text, None)
 
@@ -467,7 +477,18 @@ class TestScan:
         annotated = "# audited\n\n" + lines[0] + "\n" + "".join(
             f"{line}\n\n# after {line[:3]}\n" for line in lines[1:])
         for t in (text, annotated, text.rstrip("\n")):
-            assert _scan(t, None) == _reference_parse(t)
+            assert parse_ruleset(t) == _reference_parse(t)
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=["LF", "CRLF", "FF", "LS"])
+    def test_records_after_any_break_are_not_split_again(self, brk, monkeypatch):
+        text = (FIXTURES / "table1.rules").read_text()
+        expected = parse_ruleset(text)
+
+        def split_again(*args):
+            raise AssertionError("a record as serialize_ruleset writes it was split token by token")
+
+        monkeypatch.setattr(rulefile, "_parse_value", split_again)
+        assert parse_ruleset(text.replace("\n", brk)) == expected
 
     @pytest.mark.parametrize("edit", [
         lambda t: t.replace("\n", "\r\n"),
@@ -479,8 +500,7 @@ class TestScan:
     ])
     def test_the_scan_hands_other_forms_over(self, edit):
         text = "# c\n" + (FIXTURES / "table1.rules").read_text()
-        assert _scan(edit(text), None) is None
-        assert parse_ruleset(edit(text)) == parse_ruleset(text)
+        assert parse_ruleset(edit(text)) == parse_ruleset(text) == _reference_parse(edit(text))
 
 
 class TestSerialize:
