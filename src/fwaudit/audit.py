@@ -99,19 +99,18 @@ def _empty_input_labels(conds: list[Sequence[Pairs]]) -> list[WarningKind | None
 class _Index:
     """The rows whose input conditions touch, built once per audit.
 
-    ``nbr[ptr[i]:ptr[i + 1]]`` lists, ascending, the rows whose input hull
-    touches row i's; those before row i end and those after it start at
-    ``split[i]``.  An empty input row touches none.  Exclusion only shrinks
-    a condition, so every box a scan queries for row i lies inside row i's
-    input hull, and excluding a row this index does not list returns the
-    working set unchanged.  Hull corners are Python integers, so domains
-    wider than 64 bits need no special case.
+    ``before[i]`` and ``after[i]`` list, ascending, the rows before and
+    after row i whose input hull touches row i's.  An empty input row
+    touches none.  Exclusion only shrinks a condition, so every box a
+    scan queries for row i lies inside row i's input hull, and excluding
+    a row this index does not list returns the working set unchanged.
+    Hull corners are Python integers, so domains wider than 64 bits need
+    no special case.
     """
 
     accept: list[bool]
-    nbr: list[int]
-    ptr: list[int]
-    split: list[int]
+    before: list[list[int]]
+    after: list[list[int]]
 
     @classmethod
     def of(cls, rules: Sequence[Rule]) -> _Index:
@@ -121,8 +120,7 @@ class _Index:
                 lo[i], hi[i] = zip(*r.condition[0])
             elif r.condition:
                 lo[i], hi[i] = hull(r.condition)
-        ptr, split, nbr = touching_pairs(lo, hi)
-        return cls([r.decision == Decision.ACCEPT for r in rules], nbr, ptr, split)
+        return cls([r.decision == Decision.ACCEPT for r in rules], *touching_pairs(lo, hi))
 
     def touching(
         self, conds: Sequence[Sequence[Pairs]], i: int, later: bool,
@@ -131,35 +129,40 @@ class _Index:
         """Rows after (``later``) or before row i, ascending, that the index
         lists for it, whose condition in ``conds`` is not empty, and that
         have the same (True) or a differing (False) decision when asked."""
-        start, stop = (self.split[i], self.ptr[i + 1]) if later else (self.ptr[i], self.split[i])
-        if start == stop:
-            return []
+        rows = (self.after if later else self.before)[i]
+        if not rows:
+            return rows
         accept = self.accept
         # the decision a kept row must have, if one is asked for
         want = None if same_decision is None else accept[i] == same_decision
-        return [
-            j for j in self.nbr[start:stop]
-            if conds[j] and (want is None or accept[j] == want)
-        ]
+        return [j for j in rows if conds[j] and (want is None or accept[j] == want)]
+
+
+def _uncovered(
+    rest: Sequence[Pairs], conds: Sequence[Sequence[Pairs]], rows: Sequence[int]
+) -> Sequence[Pairs]:
+    """The packets of ``rest`` that no condition of ``rows`` holds, excluding
+    one row at a time until nothing is left; ``rest`` itself when none meets it."""
+    for j in rows:
+        rest = exclude(rest, conds[j])
+        if not rest:
+            break
+    return rest
 
 
 def _exclude_forward(
     conds: list[Sequence[Pairs]],
-    index: _Index,
     kinds: list[WarningKind | None],
-    i: int,
-    same_decision: bool | None,
+    cut: Sequence[Pairs],
+    rows: Sequence[int],
 ) -> None:
-    """Exclude rule i from later rules: all (None), same-decision (True) or differing (False).
+    """Exclude ``cut`` from the conditions of the later ``rows``.
 
-    Every unlabelled later rule this empties is labelled shadowing.  A rule
+    Every unlabelled row this empties is labelled shadowing.  A rule
     changed into several boxes is coalesced, which keeps its packets.
     """
-    ci = conds[i]
-    if not ci:
-        return
-    for j in index.touching(conds, i, True, same_decision):
-        cj = exclude(conds[j], ci)
+    for j in rows:
+        cj = exclude(conds[j], cut)
         if cj is conds[j]:
             continue
         if len(cj) > 1:
@@ -181,13 +184,13 @@ def detection(ruleset: Ruleset) -> AuditReport:
     conds = [r.condition for r in ruleset.rules]
     kinds = _empty_input_labels(conds)
     for i in range(len(conds) - 1):
-        _exclude_forward(conds, index, kinds, i, None)
+        if conds[i]:
+            _exclude_forward(conds, kinds, conds[i], index.touching(conds, i, True))
     return _assemble("detection", ruleset, conds, kinds, t0)
 
 
-def _absorbed_by_later(conds: list[Sequence[Pairs]], index: _Index, i: int) -> bool:
-    """Is non-empty rule i's condition fully covered by later rules with its decision?"""
-    rows = index.touching(conds, i, True, same_decision=True)
+def _absorbed_by(conds: list[Sequence[Pairs]], i: int, rows: Sequence[int]) -> bool:
+    """Is non-empty rule i's condition fully covered by the conditions of ``rows``?"""
     if not rows:
         return False
     # exact escape: a corner of one of rule i's boxes that no box of these
@@ -203,22 +206,7 @@ def _absorbed_by_later(conds: list[Sequence[Pairs]], index: _Index, i: int) -> b
                     break
             else:
                 return False
-    rest = conds[i]
-    for j in rows:
-        rest = exclude(rest, conds[j])
-        if not rest:
-            return True
-    return False
-
-
-def _shadowed_in(original: list[Pairs], index: _Index, j: int) -> bool:
-    """Is original rule j covered by the rules before it, so never a first match?"""
-    rest = original[j]
-    for k in index.touching(original, j, False):
-        rest = exclude(rest, original[k])
-        if not rest:
-            break
-    return not rest
+    return not _uncovered(conds[i], conds, rows)
 
 
 def _redundant_in(
@@ -240,7 +228,8 @@ def _redundant_in(
     """
     rest = effective
     accept = index.accept
-    for j in index.touching(original, i, True):
+    # a row the index lists is never empty in the input
+    for j in index.after[i]:
         if accept[j] == accept[i]:
             rest = exclude(rest, original[j])
             if not rest:
@@ -275,13 +264,15 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
     index = _Index.of(ruleset.rules)
     original = [r.condition for r in ruleset.rules]
     conds = list(original)
-    is_shadowed = functools.cache(lambda j: _shadowed_in(original, index, j))
+    # is original rule j covered by the rules before it, so never a first match?
+    is_shadowed = functools.cache(lambda j: not _uncovered(original[j], original, index.before[j]))
     kinds = _empty_input_labels(conds)
     n = len(conds)
     emptied: list[Sequence[Pairs]] = [()] * n  # the input condition of each rule phase 2 emptied
 
     for i in range(n - 1):
-        _exclude_forward(conds, index, kinds, i, False)
+        if conds[i]:
+            _exclude_forward(conds, kinds, conds[i], index.touching(conds, i, True, same_decision=False))
 
     for i in range(n):
         if not conds[i]:
@@ -289,12 +280,10 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
             # against it is the identity, and probing it for redundancy
             # would only relabel a rule that is not really there anymore.
             continue
-        effective = conds[i]
-        for k in index.touching(emptied, i, False, same_decision=True):
-            effective = exclude(effective, emptied[k])
-            if not effective:
-                break
-        absorbed = _absorbed_by_later(conds, index, i)
+        earlier = index.touching(emptied, i, False, same_decision=True)
+        effective = _uncovered(conds[i], emptied, earlier)
+        later = index.touching(conds, i, True, same_decision=True)
+        absorbed = _absorbed_by(conds, i, later)
         if not effective:
             kinds[i] = WarningKind.SHADOWING
         elif (absorbed or effective is not conds[i]) and _redundant_in(
@@ -304,7 +293,7 @@ def complete_detection(ruleset: Ruleset) -> AuditReport:
             conds[i] = ()
             emptied[i] = original[i]
         else:
-            _exclude_forward(conds, index, kinds, i, True)
+            _exclude_forward(conds, kinds, conds[i], later)
     return _assemble("complete", ruleset, conds, kinds, t0)
 
 

@@ -30,7 +30,8 @@ from .synth import PROFILE_NAMES, generate, profile
 
 
 def _read(path: str) -> str:
-    return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    # no newline translation, so a report's input digest is that of the file's bytes
+    return sys.stdin.read() if path == "-" else Path(path).read_bytes().decode("utf-8")
 
 
 def _write(path: str, text: str) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -58,10 +57,6 @@ class Box(tuple):
     @property
     def intervals(self) -> Box:
         return self
-
-    @property
-    def p(self) -> int:
-        return len(self)
 
     def contains(self, packet: tuple[int, ...]) -> bool:
         if len(packet) != len(self):
@@ -296,11 +291,11 @@ def _sweep(cols: list[tuple[Sequence[int], Sequence[int]]]) -> Iterator[tuple[in
 
 def touching_pairs(
     lo: Sequence[tuple[int, ...] | None], hi: Sequence[tuple[int, ...] | None]
-) -> tuple[list[int], list[int], list[int]]:
+) -> tuple[list[list[int]], list[list[int]]]:
     """Every pair of rows of the corner lists whose boxes share a packet, by ``_sweep``;
-    a row whose corners are None takes part in no pair.  Returns symmetric CSR lists
-    ``(ptr, split, nbr)``: row i's neighbours, ascending, are ``nbr[ptr[i]:ptr[i + 1]]``,
-    those before it ending and those after it starting at ``split[i]``."""
+    a row whose corners are None takes part in no pair.  Returns ``(before, after)``:
+    ``before[i]`` and ``after[i]`` list, ascending, the rows before and after row i
+    whose boxes share a packet with its box."""
     live = [i for i, c in enumerate(lo) if c is not None]
     adj: list[list[int]] = [[] for _ in lo]
     if live:
@@ -311,13 +306,13 @@ def touching_pairs(
             adj[a] += hits
             for b in hits:
                 adj[b].append(a)
-    ptr, split, total = [0], [], 0
-    for i, row in enumerate(adj):
+    after: list[list[int]] = []
+    for i, row in enumerate(adj):  # each row keeps its part before i
         row.sort()
-        split.append(total + bisect_left(row, i))
-        total += len(row)
-        ptr.append(total)
-    return ptr, split, list(chain.from_iterable(adj))
+        k = bisect_left(row, i)
+        after.append(row[k:])
+        del row[k:]
+    return adj, after
 
 
 def boxes_pairwise_disjoint(boxes: list[Box] | tuple[Box, ...]) -> bool:

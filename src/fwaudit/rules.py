@@ -36,10 +36,6 @@ class Rule:
         if self.position < 1:
             raise ValueError(f"rule position must be >= 1, got {self.position}")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.condition
-
 
 @dataclass(frozen=True, slots=True)
 class Ruleset:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from fwaudit import (
     rewrite,
 )
 from fwaudit.audit import (
-    RewriteMode, RuleWarning, WarningKind, _absorbed_by_later, _exclude_forward, _Index
+    RewriteMode, RuleWarning, WarningKind, _absorbed_by, _exclude_forward, _Index
 )
 from fwaudit.intervals import boxes_pairwise_disjoint, coalesce, exclude, hull
 from fwaudit.rules import Decision
@@ -92,7 +93,8 @@ class TestDetection:
 def absorbed(ruleset, i):
     """Probe rule i (1-based) of a ruleset for absorption by later same-decision rules."""
     index = _Index.of(ruleset.rules)
-    return _absorbed_by_later([r.condition for r in ruleset.rules], index, i - 1)
+    conds = [r.condition for r in ruleset.rules]
+    return _absorbed_by(conds, i - 1, index.touching(conds, i - 1, True, same_decision=True))
 
 
 class TestTestRedundancy:
@@ -246,9 +248,18 @@ class TestHulls:
         index = _Index.of(rules)
         conds = [r.condition for r in rules]
         assert index.touching(conds, 0, True) == [1] and index.touching(conds, 1, False) == [0]
-        _exclude_forward(conds, index, [None, None], 0, None)
+        _exclude_forward(conds, [None, None], conds[0], index.touching(conds, 0, True))
         want = shifted(2, "accept", ((1, 10), (1, 10)), ((20, 24), (20, 30)))
         assert conds[1] == [tuple(b) for b in want.condition]
+
+
+def _phase1(conds, index):
+    # complete_detection's phase 1: each rule excluded from the later rules
+    # of the other decision
+    for i in range(len(conds) - 1):
+        if conds[i]:
+            rows = index.touching(conds, i, True, same_decision=False)
+            _exclude_forward(conds, [None] * len(conds), conds[i], rows)
 
 
 def _reference_absorbed(conds, decisions, i):
@@ -279,11 +290,10 @@ def test_corner_escape_is_exact():
         decisions = [r.decision for r in rs.rules]
         for phase1 in (False, True):
             if phase1:
-                for i in range(len(conds) - 1):
-                    _exclude_forward(conds, index, [None] * len(conds), i, False)
+                _phase1(conds, index)
             for i, c in enumerate(conds):
                 if c:
-                    got = _absorbed_by_later(conds, index, i)
+                    got = _absorbed_by(conds, i, index.touching(conds, i, True, same_decision=True))
                     assert got == _reference_absorbed(conds, decisions, i), f"{label}, rule {i + 1}"
                     answers.add(got)
     assert answers == {True, False}
@@ -302,8 +312,7 @@ def test_rows_the_index_leaves_out_are_never_cut():
         index = _Index.of(rs.rules)
         original = [r.condition for r in rs.rules]
         conds = list(original)
-        for i in range(len(conds) - 1):
-            _exclude_forward(conds, index, [None] * len(conds), i, False)
+        _phase1(conds, index)
         for i in range(len(conds)):
             later = set(index.touching(conds, i, True))
             earlier = set(index.touching(original, i, False))
@@ -476,6 +485,7 @@ class TestAuditProperties:
         # dead rows get no neighbours in the touching-pair index, and no
         # live row lists one; labels still equal the brute-force ones
         dom = DomainSpec.of(("s", 0, 7), ("d", 0, 7))
+        left_empty = 0  # listed rows the condition filter drops
         for seed in range(300):
             rs = _random_ruleset(seed, dom, max_rules=12)
             rng = random.Random(seed)
@@ -485,18 +495,43 @@ class TestAuditProperties:
             ]
             rs = Ruleset(dom, tuple(rules))
             index = _Index.of(rules)
-            dead = {k for k, r in enumerate(rules) if r.is_empty}
-            assert all(index.ptr[k] == index.ptr[k + 1] for k in dead), f"seed {seed}"
-            assert not dead & set(index.nbr), f"seed {seed}"
+            dead = {k for k, r in enumerate(rules) if not r.condition}
+            assert all(not index.before[k] and not index.after[k] for k in dead), f"seed {seed}"
+            assert not dead & {j for row in index.before + index.after for j in row}, f"seed {seed}"
             for k in range(len(rules)):
-                assert index.ptr[k] <= index.split[k] <= index.ptr[k + 1], f"seed {seed}"
-                earlier = index.nbr[index.ptr[k] : index.split[k]]
-                later = index.nbr[index.split[k] : index.ptr[k + 1]]
+                earlier, later = index.before[k], index.after[k]
+                assert earlier == sorted(earlier) and later == sorted(later), f"seed {seed}"
                 assert all(j < k for j in earlier) and all(j > k for j in later), f"seed {seed}"
+            # every query form against a brute-force list: input hulls that
+            # touch, a non-empty condition and the decision asked for, on the
+            # input conditions and on those phase 1 leaves
+            hulls = [hull(r.condition) if r.condition else None for r in rules]
+            accept = [r.decision is Decision.ACCEPT for r in rules]
+
+            def touch(a, b):
+                return hulls[a] and hulls[b] and all(
+                    l1 <= h2 and l2 <= h1 for l1, h1, l2, h2 in zip(*hulls[a], *hulls[b])
+                )
+
+            conds = [r.condition for r in rules]
+            phase1 = list(conds)
+            _phase1(phase1, index)
+            for cs, k, later, same in itertools.product(
+                (conds, phase1), range(len(rules)), (True, False), (None, True, False)
+            ):
+                want = [
+                    j for j in (range(k + 1, len(rules)) if later else range(k))
+                    if touch(k, j) and cs[j] and (same is None or (accept[j] == accept[k]) == same)
+                ]
+                got = index.touching(cs, k, later, same)
+                assert got == want, f"seed {seed}, row {k}, later {later}, same {same}"
+                if same is None:
+                    left_empty += len((index.after if later else index.before)[k]) - len(got)
             assert warn_set(complete_detection(rs)) == _brute_force_labels(rs), f"seed {seed}"
             report = detection(rs)
             assert {w.position for w in report.warnings} == find_shadowed(rs), f"seed {seed}"
             assert equivalent(rs, report.transformed), f"seed {seed}"
+        assert left_empty
 
     def test_output_free_of_findings(self):
         for seed in range(40):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -56,6 +57,19 @@ class TestAudit:
         doc = json.loads(out.read_text())
         assert doc["algorithm"] == "complete"
         assert doc["input_digest"].startswith("sha256:")
+
+    def test_crlf_file_digest_is_that_of_its_bytes(self, tmp_path):
+        # the file is read as it is on disk; the parser takes the CRLF breaks
+        docs = []
+        for name, newline in (("lf.rules", b"\n"), ("crlf.rules", b"\r\n")):
+            f = tmp_path / name
+            f.write_bytes(TABLE1.read_bytes().replace(b"\n", newline))
+            out = tmp_path / f"{name}.json"
+            assert main(["audit", str(f), "--format", "json", "--output", str(out)]) == 1
+            doc = json.loads(out.read_text())
+            assert doc["input_digest"] == "sha256:" + hashlib.sha256(f.read_bytes()).hexdigest()
+            docs.append({k: v for k, v in doc.items() if k not in ("input_digest", "stats")})
+        assert docs[0] == docs[1]
 
     def test_stdin_input(self, capsys, monkeypatch):
         text = TABLE1.read_text()

@@ -241,12 +241,12 @@ class TestHelpers:
         boxes = data.draw(st.lists(edge_boxes_st(p, values), max_size=10))
         lo = [tuple(iv.lo for iv in b.intervals) for b in boxes]
         hi = [tuple(iv.hi for iv in b.intervals) for b in boxes]
-        ptr, split, nbr = touching_pairs(lo, hi)
-        assert len(ptr) == len(boxes) + 1 and len(split) == len(boxes)
+        before, after = touching_pairs(lo, hi)
+        assert len(before) == len(after) == len(boxes)
         for i, a in enumerate(boxes):
             expected = [j for j, b in enumerate(boxes) if j != i and box_intersects(a, b)]
-            assert nbr[ptr[i] : ptr[i + 1]] == expected
-            assert nbr[ptr[i] : split[i]] == [j for j in expected if j < i]
+            assert before[i] + after[i] == expected
+            assert before[i] == [j for j in expected if j < i]
 
     @given(data=st.data())
     def test_pairwise_disjoint_mixed_arity_raises(self, data):
@@ -257,7 +257,7 @@ class TestHelpers:
 
 
 def _mergeable(a: Box, b: Box) -> bool:
-    differ = [k for k in range(a.p) if a.intervals[k] != b.intervals[k]]
+    differ = [k for k in range(len(a)) if a.intervals[k] != b.intervals[k]]
     if len(differ) != 1:
         return False
     x, y = a.intervals[differ[0]], b.intervals[differ[0]]
@@ -343,7 +343,7 @@ def reference_coalesce(boxes: list[Box]) -> list[Box]:
     """Box-level coalescing: the kernel's ``coalesce`` must give the same
     boxes in the same order."""
     rows = [(tuple((iv.lo, iv.hi) for iv in b.intervals), b) for b in boxes]
-    p = boxes[0].p if boxes else 0
+    p = len(boxes[0]) if boxes else 0
     k = idle = 0
     while idle < p and len(rows) > 1:
         groups: dict[tuple, list] = {}
