@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DisjointnessError
-from .intervals import Box, Pairs, boxes_pairwise_disjoint, coalesce, exclude, hull, touching_pairs
+from .intervals import Pairs, boxes_pairwise_disjoint, coalesce, exclude, hull, touching_pairs
 # perfbench wraps these two where the audit imports them; the audit calls neither
 from .intervals import box_intersects  # noqa: F401
 from .rules import Decision, Rule, Ruleset, exclusion  # noqa: F401
@@ -76,8 +76,7 @@ def _assemble(
     warnings = tuple(RuleWarning(r.position, k) for r, k in zip(original.rules, kinds) if k)
     # a rule no exclusion changed is kept as it came in
     transformed = Ruleset(original.domain, tuple(
-        r if c is r.condition
-        else Rule(r.position, tuple(Box.from_pairs(*b) for b in c), r.decision)
+        r if c is r.condition else Rule(r.position, tuple(c), r.decision)
         for r, c in zip(original.rules, conds) if c
     ))
     stats = AuditStats(
@@ -109,8 +108,8 @@ class _Index:
     """
 
     accept: list[bool]
-    before: list[list[int]]
-    after: list[list[int]]
+    before: list[Sequence[int]]
+    after: list[Sequence[int]]
 
     @classmethod
     def of(cls, rules: Sequence[Rule]) -> _Index:
@@ -125,7 +124,7 @@ class _Index:
     def touching(
         self, conds: Sequence[Sequence[Pairs]], i: int, later: bool,
         same_decision: bool | None = None,
-    ) -> list[int]:
+    ) -> Sequence[int]:
         """Rows after (``later``) or before row i, ascending, that the index
         lists for it, whose condition in ``conds`` is not empty, and that
         have the same (True) or a differing (False) decision when asked."""

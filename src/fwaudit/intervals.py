@@ -2,8 +2,9 @@
 
 A rule condition constrains each packet attribute to a closed integer
 range; a box is one such range per attribute, i.e. a hyperrectangle in
-packet space.  An ``Interval`` is a ``(lo, hi)`` tuple and a ``Box`` a tuple
-of Intervals, so a rule's condition is what the exclusion kernel reads.
+packet space.  A box is a tuple of ``(lo, hi)`` int pairs and a condition a
+tuple of boxes, from parse to report: the form the exclusion kernel reads.
+``Interval`` and ``Box`` are checked tuple subclasses for hand-built rules.
 Everything in this module is an immutable value and every operation is a
 pure function, so concurrent use needs no locking.
 
@@ -20,6 +21,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ArityError, DomainError
+
+# a box, one (lo, hi) per attribute: what the kernel reads and rules hold
+Pairs = tuple[tuple[int, int], ...]
 
 
 class Interval(NamedTuple("Interval", [("lo", int), ("hi", int)])):
@@ -116,11 +120,13 @@ class DomainSpec:
     def names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 
-    def check_box(self, box: Box) -> None:
+    def check_box(self, box: Pairs) -> None:
         if len(box) != self.p:
             raise ArityError(f"box has {len(box)} attributes, domain has {self.p}")
         for a, (lo, hi) in zip(self.attributes, box):
-            if lo < a.lo or hi > a.hi:
+            if not a.lo <= lo <= hi <= a.hi:
+                if lo > hi:
+                    raise ValueError(f"inverted interval [{lo},{hi}]")
                 raise DomainError(f"[{lo},{hi}] outside attribute {a.name} [{a.lo},{a.hi}]")
 
     def check_packet(self, packet: tuple[int, ...]) -> None:
@@ -166,11 +172,6 @@ def box_subtract(b: Box, a: Box) -> list[Box]:
     if not box_intersects(b, a):
         return [b]
     return [Box.from_pairs(*piece) for piece in subtract(b, a)]
-
-
-# the exclusion kernel's box, one (lo, hi) per attribute: a Box, or a plain
-# tuple for a slab the kernel made, until Box.from_pairs turns it into one
-Pairs = tuple[tuple[int, int], ...]
 
 
 def subtract(b: Pairs, a: Pairs) -> list[Pairs]:
@@ -291,13 +292,13 @@ def _sweep(cols: list[tuple[Sequence[int], Sequence[int]]]) -> Iterator[tuple[in
 
 def touching_pairs(
     lo: Sequence[tuple[int, ...] | None], hi: Sequence[tuple[int, ...] | None]
-) -> tuple[list[list[int]], list[list[int]]]:
+) -> tuple[list[Sequence[int]], list[Sequence[int]]]:
     """Every pair of rows of the corner lists whose boxes share a packet, by ``_sweep``;
     a row whose corners are None takes part in no pair.  Returns ``(before, after)``:
     ``before[i]`` and ``after[i]`` list, ascending, the rows before and after row i
-    whose boxes share a packet with its box."""
+    whose boxes share a packet with its box; every empty side is the one ``()``."""
     live = [i for i, c in enumerate(lo) if c is not None]
-    adj: list[list[int]] = [[] for _ in lo]
+    adj: list = [[] for _ in lo]
     if live:
         cols = list(zip(zip(*[lo[i] for i in live]), zip(*[hi[i] for i in live])))
         for a, hits in _sweep(cols):
@@ -306,12 +307,15 @@ def touching_pairs(
             adj[a] += hits
             for b in hits:
                 adj[b].append(a)
-    after: list[list[int]] = []
+    after: list[Sequence[int]] = [()] * len(adj)
     for i, row in enumerate(adj):  # each row keeps its part before i
-        row.sort()
-        k = bisect_left(row, i)
-        after.append(row[k:])
-        del row[k:]
+        if row:
+            row.sort()
+            k = bisect_left(row, i)
+            after[i] = row[k:] or ()
+            del row[k:]
+        if not row:
+            adj[i] = ()
     return adj, after
 
 

@@ -57,7 +57,7 @@ def evaluate(ruleset: Ruleset, packet: Packet) -> Outcome:
     """Decision of the first rule matching the packet, or NO_MATCH."""
     ruleset.domain.check_packet(packet)
     for rule in ruleset.rules:
-        if any(box.contains(packet) for box in rule.condition):
+        if any(all(lo <= v <= hi for (lo, hi), v in zip(box, packet)) for box in rule.condition):
             return Outcome(rule.decision.value)
     return Outcome.NO_MATCH
 

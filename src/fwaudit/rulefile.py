@@ -38,7 +38,7 @@ from itertools import repeat
 from ._version import __version__
 from .audit import ALGORITHMS, AuditReport, AuditStats, RuleWarning, WarningKind
 from .errors import ArityError, DomainError, ParseError, ValidationError
-from .intervals import AttributeDomain, Box, DomainSpec, Interval, box_intersects, boxes_pairwise_disjoint
+from .intervals import AttributeDomain, DomainSpec, box_intersects, boxes_pairwise_disjoint
 from .rules import Decision, Rule, Ruleset
 
 PROTOCOL_NAMES = {"tcp": 6, "udp": 17, "icmp": 1}
@@ -60,7 +60,7 @@ def input_digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _parse_value(token: str, attr: AttributeDomain, whole: Interval, line: int) -> Interval:
+def _parse_value(token: str, attr: AttributeDomain, whole: tuple[int, int], line: int) -> tuple[int, int]:
     if token == "any":
         return whole
     try:
@@ -85,15 +85,15 @@ def _parse_value(token: str, attr: AttributeDomain, whole: Interval, line: int) 
     return _interval(a, b, attr, line)
 
 
-def _interval(a: int, b: int, attr: AttributeDomain, line: int) -> Interval:
-    """The Interval [a,b] of ``attr``; an inverted or out-of-domain one is an error on ``line``."""
+def _interval(a: int, b: int, attr: AttributeDomain, line: int) -> tuple[int, int]:
+    """The pair (a, b) of ``attr``; an inverted or out-of-domain one is an error on ``line``."""
     if a > b:
         raise ValidationError(f"line {line}: inverted range [{a},{b}] on attribute {attr.name}")
     if a < attr.lo or b > attr.hi:
         raise DomainError(
             f"line {line}: [{a},{b}] outside attribute {attr.name} [{attr.lo},{attr.hi}]"
         )
-    return Interval(a, b)
+    return (a, b)
 
 
 def parse_domain_overrides(text: str, line: int | None = None) -> dict[str, tuple[int, int]]:
@@ -166,9 +166,8 @@ def parse_ruleset(
         lineno += 1
     domain = apply_domain_overrides(domain, domain_overrides)
     attrs = domain.attributes
-    wholes = [Interval(a.lo, a.hi) for a in attrs]  # shared by every "any"
+    wholes = [(a.lo, a.hi) for a in attrs]  # shared by every "any"
     checks = [(a.lo, a.hi, whole, a) for a, whole in zip(attrs, wholes)]
-    interval = tuple.__new__  # Interval(a, b) without its check, which is made inline
 
     rules: list[Rule] = []
     last_key = (0, 0)  # below every valid order value
@@ -213,16 +212,14 @@ def parse_ruleset(
                 else:
                     box.append(whole)
                     continue
-                box.append(
-                    interval(Interval, (a, b)) if lo <= a <= b <= hi else _interval(a, b, attr, lineno)
-                )
-            box = Box(box)
+                box.append((a, b) if lo <= a <= b <= hi else _interval(a, b, attr, lineno))
+            box = tuple(box)
         else:
             try:
                 decision = Decision(fields[-1].lower())
             except ValueError:
                 raise ParseError(f"bad decision {fields[-1]!r} (want accept or deny)", lineno) from None
-            box = Box(map(_parse_value, fields[1:-1], attrs, wholes, repeat(lineno)))
+            box = tuple(map(_parse_value, fields[1:-1], attrs, wholes, repeat(lineno)))
         if rules and rules[-1].position == major:
             # a sub-record: one more box of the rule before it
             prev = rules[-1]
@@ -263,7 +260,7 @@ def _line_re(p: int) -> re.Pattern[str]:
     return re.compile(rf"{order}, {tokens}, (accept|deny){_EOL}|([^{_BREAKS}]*){_EOL}")
 
 
-def _format_interval(iv: Interval, attr: AttributeDomain) -> str:
+def _format_interval(iv: tuple[int, int], attr: AttributeDomain) -> str:
     lo, hi = iv
     if lo == attr.lo and hi == attr.hi:
         return "any"
@@ -361,7 +358,7 @@ class ReportDocument:
             ruleset = Ruleset(domain, tuple(
                 Rule(
                     _typed(r["order"], int),
-                    tuple(Box.from_pairs(*map(_ints, box)) for box in r["condition"]),
+                    tuple(tuple(map(_ints, box)) for box in r["condition"]),
                     Decision(r["decision"]),
                 )
                 for r in doc["rules"]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ArityError
-from .intervals import Box, DomainSpec, exclude
+from .intervals import Box, DomainSpec, Pairs, exclude
 from .intervals import box_subtract  # noqa: F401  (perfbench wraps it here)
 
 
@@ -29,7 +29,7 @@ class Rule:
     """
 
     position: int
-    condition: tuple[Box, ...]
+    condition: tuple[Pairs, ...]
     decision: Decision
 
     def __post_init__(self):

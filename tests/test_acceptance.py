@@ -239,8 +239,8 @@ def test_criterion_6_box_subtraction_algebra():
         # dense-grid ground truth, independent of the interval arithmetic
         def mask(bx):
             m = np.zeros((side, side), dtype=bool)
-            m[bx.intervals[0].lo : bx.intervals[0].hi + 1,
-              bx.intervals[1].lo : bx.intervals[1].hi + 1] = True
+            (lo0, hi0), (lo1, hi1) = bx
+            m[lo0 : hi0 + 1, lo1 : hi1 + 1] = True
             return m
 
         cover = np.zeros((side, side), dtype=np.int16)

@@ -8,7 +8,6 @@ from fwaudit import (
     Box,
     DisjointnessError,
     DomainSpec,
-    Interval,
     Rule,
     Ruleset,
     complete_detection,
@@ -17,7 +16,9 @@ from fwaudit import (
     evaluate,
     find_redundant,
     find_shadowed,
+    parse_ruleset,
     rewrite,
+    serialize_ruleset,
 )
 from fwaudit.audit import (
     RewriteMode, RuleWarning, WarningKind, _absorbed_by, _exclude_forward, _Index
@@ -330,8 +331,8 @@ def test_rows_the_index_leaves_out_are_never_cut():
 @pytest.mark.parametrize("algorithm", [detection, complete_detection])
 def test_output_rules_are_inputs_or_fresh_boxes(algorithm):
     # a rule no exclusion changed is handed back as the input object, and
-    # a changed one holds Boxes of Intervals, not the kernel's plain tuples
-    rs = generate(profile("beginner", 0), 300, DomainSpec.five_tuple())
+    # a changed one holds the kernel's exact tuples: no Box, no Interval
+    rs = parse_ruleset(serialize_ruleset(generate(profile("beginner", 0), 300, DomainSpec.five_tuple())))
     inputs = {r.position: r for r in rs.rules}
     out = algorithm(rs).transformed.rules
     # exclusion only removes packets, so an unchanged condition is equal to the input's
@@ -339,8 +340,9 @@ def test_output_rules_are_inputs_or_fresh_boxes(algorithm):
     changed = [r for r in out if r.condition != inputs[r.position].condition]
     assert kept and changed
     assert all(r is inputs[r.position] for r in kept)
-    for r in changed:
-        assert all(type(b) is Box and all(type(iv) is Interval for iv in b) for b in r.condition)
+    for r in out:
+        assert type(r.condition) is tuple
+        assert all(type(b) is tuple and all(type(iv) is tuple for iv in b) for b in r.condition)
 
 
 class TestRewrite:
@@ -498,9 +500,11 @@ class TestAuditProperties:
             dead = {k for k, r in enumerate(rules) if not r.condition}
             assert all(not index.before[k] and not index.after[k] for k in dead), f"seed {seed}"
             assert not dead & {j for row in index.before + index.after for j in row}, f"seed {seed}"
+            # every empty side is the shared empty tuple, every list holds a row
+            assert all(row if type(row) is list else row == () for row in index.before + index.after)
             for k in range(len(rules)):
                 earlier, later = index.before[k], index.after[k]
-                assert earlier == sorted(earlier) and later == sorted(later), f"seed {seed}"
+                assert list(earlier) == sorted(earlier) and list(later) == sorted(later), f"seed {seed}"
                 assert all(j < k for j in earlier) and all(j > k for j in later), f"seed {seed}"
             # every query form against a brute-force list: input hulls that
             # touch, a non-empty condition and the decision asked for, on the
@@ -524,7 +528,7 @@ class TestAuditProperties:
                     if touch(k, j) and cs[j] and (same is None or (accept[j] == accept[k]) == same)
                 ]
                 got = index.touching(cs, k, later, same)
-                assert got == want, f"seed {seed}, row {k}, later {later}, same {same}"
+                assert list(got) == want, f"seed {seed}, row {k}, later {later}, same {same}"
                 if same is None:
                     left_empty += len((index.after if later else index.before)[k]) - len(got)
             assert warn_set(complete_detection(rs)) == _brute_force_labels(rs), f"seed {seed}"

@@ -9,21 +9,27 @@ from hypothesis import given, strategies as st
 from fwaudit import (
     ArityError,
     Box,
+    Decision,
     DomainSpec,
     Interval,
+    ReportDocument,
+    Rule,
+    Ruleset,
     box_intersects,
     box_subtract,
     boxes_pairwise_disjoint,
     complete_detection,
+    emit_report,
     generate,
     interval_intersect,
     interval_subtract,
     parse_ruleset,
     profile,
+    serialize_ruleset,
 )
 from fwaudit.intervals import coalesce, exclude, subtract, touching_pairs
 
-from conftest import FIXTURES, box, rule
+from conftest import FIXTURES, SD, box, make_table1, rule
 
 
 def points(iv: Interval) -> set[int]:
@@ -31,7 +37,7 @@ def points(iv: Interval) -> set[int]:
 
 
 def box_points(b: Box) -> set[tuple[int, ...]]:
-    return set(itertools.product(*(range(iv.lo, iv.hi + 1) for iv in b.intervals)))
+    return set(itertools.product(*(range(lo, hi + 1) for lo, hi in b)))
 
 
 intervals_0_15 = st.integers(0, 15).flatmap(
@@ -180,7 +186,9 @@ class TestBox:
 
 
 class TestValueContract:
-    """An Interval is a (lo, hi) tuple and a Box a tuple of them: the exclusion kernel's form."""
+    """A box is a tuple of (lo, hi) int pairs and a condition a tuple of boxes, from
+    parse to report: the exclusion kernel's form.  Interval and Box check hand-built
+    pairs and are tuples of the same values."""
 
     def test_box_is_its_pairs(self):
         b = Box.from_pairs((1, 2), (3, 4))
@@ -193,20 +201,49 @@ class TestValueContract:
         iv = Interval(3, 4)
         assert iv == (3, 4) and (iv.lo, iv.hi) == (3, 4)
 
-    @pytest.mark.parametrize("source", ["parsed", "complete_detection"])
+    @pytest.mark.parametrize("source", ["parsed", "complete_detection", "from_json"])
     def test_rulesets_copy_and_convert(self, source):
         if source == "parsed":
             rs = parse_ruleset((FIXTURES / "table1.rules").read_text())
         else:
-            rs = generate(profile("intermediate", 1), 120, DomainSpec.five_tuple())
-            rs = complete_detection(rs).transformed
+            # the audit of a parsed file, so that the rules it keeps as they came are parsed too
+            generated = generate(profile("intermediate", 1), 120, DomainSpec.five_tuple())
+            report = complete_detection(parse_ruleset(serialize_ruleset(generated)))
+            rs = report.transformed
+            if source == "from_json":
+                doc = ReportDocument.from_json(emit_report(report, "json"))
+                rs = Ruleset(doc.domain, doc.rules)
+            assert rs == report.transformed
             assert any(len(r.condition) > 1 for r in rs.rules)
-        for other in (pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs)):
+        for other in (rs, pickle.loads(pickle.dumps(rs)), copy.deepcopy(rs)):
             assert other == rs
-            assert all(type(b) is Box and all(type(iv) is Interval for iv in b)
+            assert all(type(r.condition) is tuple for r in other.rules)
+            assert all(type(b) is tuple and all(type(iv) is tuple and len(iv) == 2 for iv in b)
                        for r in other.rules for b in r.condition)
+            assert all(type(v) is int for r in other.rules for b in r.condition for iv in b for v in iv)
         as_dict = dataclasses.asdict(rs)
         assert [r["condition"] for r in as_dict["rules"]] == [r.condition for r in rs.rules]
+
+    def test_hand_built_twin_equals_the_parsed_ruleset(self):
+        # a Box of Intervals compares and hashes as its pairs
+        twin = Ruleset(SD, tuple(
+            Rule(r.position, tuple(Box.from_pairs(*b) for b in r.condition), r.decision)
+            for r in make_table1().rules
+        ))
+        parsed = parse_ruleset(serialize_ruleset(twin))
+        assert parsed == twin and hash(parsed) == hash(twin)
+        assert type(parsed.rules[0].condition[0]) is tuple
+        assert type(twin.rules[0].condition[0]) is Box
+
+    @pytest.mark.parametrize("pair", [(5, 3), (1, 0)])
+    def test_ruleset_rejects_an_inverted_pair(self, pair):
+        # an exact tuple does not check itself as Interval(5, 3) does, so the
+        # Ruleset constructor does, naming the pair
+        lo, hi = pair
+        with pytest.raises(ValueError, match=rf"inverted interval \[{lo},{hi}\]"):
+            Ruleset(SD, (Rule(1, ((pair, (1, 100)),), Decision.ACCEPT),))
+        with pytest.raises(ValueError, match=rf"inverted interval \[{lo},{hi}\]"):
+            SD.check_box(((1, 100), pair))
 
     def test_exclude_returns_the_condition_no_cut_meets(self):
         r = rule(1, "accept", ((1, 10), (1, 10)), ((20, 30), (20, 30)))
@@ -239,14 +276,16 @@ class TestHelpers:
         # few distinct endpoints: equal lo values, single-point contact and
         # full-range intervals are common; WIDE_VALUES reach beyond 64 bits
         boxes = data.draw(st.lists(edge_boxes_st(p, values), max_size=10))
-        lo = [tuple(iv.lo for iv in b.intervals) for b in boxes]
-        hi = [tuple(iv.hi for iv in b.intervals) for b in boxes]
+        lo = [tuple(lo for lo, _ in b) for b in boxes]
+        hi = [tuple(hi for _, hi in b) for b in boxes]
         before, after = touching_pairs(lo, hi)
         assert len(before) == len(after) == len(boxes)
         for i, a in enumerate(boxes):
             expected = [j for j, b in enumerate(boxes) if j != i and box_intersects(a, b)]
-            assert before[i] + after[i] == expected
-            assert before[i] == [j for j in expected if j < i]
+            assert [*before[i], *after[i]] == expected
+            assert list(before[i]) == [j for j in expected if j < i]
+            # an empty side is the shared empty tuple, never a list of its own
+            assert all(side if type(side) is list else side == () for side in (before[i], after[i]))
 
     @given(data=st.data())
     def test_pairwise_disjoint_mixed_arity_raises(self, data):
@@ -257,10 +296,10 @@ class TestHelpers:
 
 
 def _mergeable(a: Box, b: Box) -> bool:
-    differ = [k for k in range(len(a)) if a.intervals[k] != b.intervals[k]]
+    differ = [k for k in range(len(a)) if a[k] != b[k]]
     if len(differ) != 1:
         return False
-    x, y = a.intervals[differ[0]], b.intervals[differ[0]]
+    x, y = a[differ[0]], b[differ[0]]
     return x.hi + 1 == y.lo or y.hi + 1 == x.lo
 
 
@@ -280,7 +319,7 @@ def disjoint_boxes_st(draw, p: int, offset: int):
         return [Box(cells[i]) for i in picked]
     kept = []
     for b in draw(st.lists(boxes_st(p), max_size=12)):
-        b = Box(tuple(Interval(offset + iv.lo, offset + iv.hi) for iv in b.intervals))
+        b = Box(tuple(Interval(offset + iv.lo, offset + iv.hi) for iv in b))
         if not any(box_intersects(b, k) for k in kept):
             kept.append(b)
     return kept
@@ -331,8 +370,8 @@ def reference_box_subtract(b: Box, a: Box) -> list[Box]:
         return [b]
     out: list[Box] = []
     prefix: tuple[Interval, ...] = ()
-    for k, (b_k, a_k) in enumerate(zip(b.intervals, a.intervals)):
-        suffix = b.intervals[k + 1 :]
+    for k, (b_k, a_k) in enumerate(zip(b, a)):
+        suffix = b[k + 1 :]
         for piece in interval_subtract(b_k, a_k):
             out.append(Box(prefix + (piece,) + suffix))
         prefix += (b_k if a_k.lo <= b_k.lo and b_k.hi <= a_k.hi else interval_intersect(b_k, a_k),)
@@ -342,7 +381,7 @@ def reference_box_subtract(b: Box, a: Box) -> list[Box]:
 def reference_coalesce(boxes: list[Box]) -> list[Box]:
     """Box-level coalescing: the kernel's ``coalesce`` must give the same
     boxes in the same order."""
-    rows = [(tuple((iv.lo, iv.hi) for iv in b.intervals), b) for b in boxes]
+    rows = [(tuple((iv.lo, iv.hi) for iv in b), b) for b in boxes]
     p = len(boxes[0]) if boxes else 0
     k = idle = 0
     while idle < p and len(rows) > 1:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +20,11 @@ from fwaudit import (
     evaluate,
     find_redundant,
     find_shadowed,
+    generate,
+    parse_ruleset,
+    profile,
     sample_equivalent,
+    serialize_ruleset,
     worst_case_family,
 )
 from fwaudit.oracle import _CHUNK, _CODE_OUTCOME, Outcome, _sample_columns, _sample_outcomes
@@ -43,6 +48,33 @@ class TestEvaluate:
     def test_out_of_domain_packet(self, table1):
         with pytest.raises(DomainError):
             evaluate(table1, (101, 1))
+
+    def test_parsed_and_box_built_twins_agree(self):
+        # evaluate reads any condition: exact tuples as parsed and audited, and
+        # the same rules rebuilt as Boxes of Intervals, whose contains is the reference
+        domain = DomainSpec.five_tuple()
+        generated = generate(profile("intermediate", 2), 80, domain)
+        parsed = parse_ruleset(serialize_ruleset(generated))
+        for rs in (parsed, complete_detection(parsed).transformed):
+            twin = Ruleset(domain, tuple(
+                Rule(r.position, tuple(Box.from_pairs(*b) for b in r.condition), r.decision)
+                for r in rs.rules
+            ))
+            assert twin == rs and type(rs.rules[0].condition[0]) is tuple
+            rng = random.Random(7)
+            # each packet inside a random box, so that most of them match some rule
+            boxes = [b for r in rs.rules for b in r.condition]
+            packets = [tuple(rng.randint(lo, hi) for lo, hi in rng.choice(boxes)) for _ in range(2000)]
+            packets += [tuple(rng.randint(a.lo, a.hi) for a in domain.attributes) for _ in range(500)]
+            outcomes = [evaluate(rs, q) for q in packets]
+            assert outcomes == [evaluate(twin, q) for q in packets]
+            reference = [
+                next((Outcome(r.decision.value) for r in twin.rules
+                      if any(b.contains(q) for b in r.condition)), Outcome.NO_MATCH)
+                for q in packets
+            ]
+            assert outcomes == reference
+            assert set(outcomes) >= {Outcome.ACCEPT, Outcome.DENY}
 
     def test_transform_preserves_every_sampled_judgement(self, table1):
         report = detection(table1)
@@ -317,7 +349,7 @@ class TestSampledOutcomesProperty:
         # each box screens only the attribute where it covers the least share
         widths = [a.hi - a.lo + 1 for a in domain.attributes]
         assert screened == {
-            min(range(domain.p), key=lambda j: box.intervals[j].size / widths[j])
+            min(range(domain.p), key=lambda j: (box[j][1] - box[j][0] + 1) / widths[j])
             for r in ruleset.rules
             for box in r.condition
         }
@@ -345,8 +377,8 @@ def _cut_packets(domain, *rulesets):
     for rs in rulesets:
         for r in rs.rules:
             for b in r.condition:
-                for values, iv, a in zip(cuts, b.intervals, domain.attributes):
-                    values.update(v for v in (iv.lo, iv.hi + 1) if v <= a.hi)
+                for values, (lo, hi), a in zip(cuts, b, domain.attributes):
+                    values.update(v for v in (lo, hi + 1) if v <= a.hi)
     return list(itertools.product(*map(sorted, cuts)))
 
 

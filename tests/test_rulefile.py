@@ -47,11 +47,11 @@ class TestParse:
         assert r.position == 1
         assert r.decision.value == "deny"
         box = r.condition[0]
-        assert box.intervals[1] == Interval(1, 30)
-        assert box.intervals[3] == Interval(20, 45)
+        assert box[1] == (1, 30)
+        assert box[3] == (20, 45)
         # unconstrained attributes span their whole (point) domains
-        assert box.intervals[0] == Interval(0, 0)
-        assert box.intervals[2] == Interval(0, 0)
+        assert box[0] == (0, 0)
+        assert box[2] == (0, 0)
 
     def test_full_any_rule_default_domain(self):
         rs = parse_ruleset("1, any, any, any, any, any, accept\n")
@@ -66,16 +66,16 @@ class TestParse:
         lo = int(ipaddress.ip_address("10.0.0.1"))
         hi = int(ipaddress.ip_address("10.0.0.30"))
         host = int(ipaddress.ip_address("10.0.0.7"))
-        assert box.intervals[0] == Interval(6, 6)
-        assert box.intervals[1] == Interval(lo, hi)
+        assert box[0] == (6, 6)
+        assert box[1] == (lo, hi)
         assert (lo, hi) == (167772161, 167772190)
-        assert box.intervals[3] == Interval(host, host)
-        assert box.intervals[4] == Interval(80, 80)
+        assert box[3] == (host, host)
+        assert box[4] == (80, 80)
 
     def test_udp_icmp_names(self):
         rs = parse_ruleset("1, udp, any, any, any, any, deny\n2, icmp, any, any, any, any, deny\n")
-        assert rs.rules[0].condition[0].intervals[0] == Interval(17, 17)
-        assert rs.rules[1].condition[0].intervals[0] == Interval(1, 1)
+        assert rs.rules[0].condition[0][0] == (17, 17)
+        assert rs.rules[1].condition[0][0] == (1, 1)
 
     def test_comments_and_blank_lines(self):
         rs = parse_ruleset("# heading\n \t# indented\n\n1, any, any, any, any, any, accept\n"
@@ -220,7 +220,7 @@ class TestParse:
             domain_overrides={"source": (1, 100), "destination": (1, 100)},
         )
         assert rs.domain.attributes[1].hi == 100
-        assert rs.rules[0].condition[0].intervals[1] == Interval(1, 100)
+        assert rs.rules[0].condition[0][1] == (1, 100)
         for bad in ("source=[1,100], source=[1,100]", "source=[100,1]"):
             with pytest.raises(ValidationError):
                 parse_domain_overrides(bad)
@@ -618,6 +618,17 @@ class TestReports:
         doc = json.loads(emit_report(report, "json", digest=input_digest(text)))
         with pytest.raises(ParseError):
             ReportDocument.from_json(json.dumps(mutate(doc)))
+
+    def test_inverted_condition_is_parse_error_naming_the_pair(self):
+        # from_json keeps the JSON pairs as exact tuples; the Ruleset check rejects the inversion
+        report, _ = self._report()
+        doc = json.loads(emit_report(report, "json"))
+        box = doc["rules"][0]["condition"][0]
+        k = next(k for k, (lo, hi) in enumerate(box) if lo < hi)
+        lo, hi = box[k]
+        box[k] = [hi, lo]
+        with pytest.raises(ParseError, match=rf"inverted interval \[{hi},{lo}\]"):
+            ReportDocument.from_json(json.dumps(doc))
 
     def test_json_shape(self):
         report, text = self._report()

@@ -111,7 +111,7 @@ class TestGenerate:
 class TestWorstCaseFamily:
     def test_two_rules_two_attributes_gives_three_boxes(self):
         rs = worst_case_family(2, 2)
-        assert [b.intervals[0].hi for r in rs.rules for b in r.condition] == [10, 20]
+        assert [b[0][1] for r in rs.rules for b in r.condition] == [10, 20]
         report = detection(rs)
         assert report.stats.output_boxes == 3  # 1 + p
 
